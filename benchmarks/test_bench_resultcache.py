@@ -153,7 +153,7 @@ class TestServeDetectCache:
             assert len(pool_calls) == 1   # the hit never reached the pool
         report("E14 result cache: serve /detect window cache", {
             "cold /detect (executor sweep)": f"{cold_s * 1000:.1f} ms",
-            "warm /detect (window-hash hit)": f"{warm_s * 1000:.1f} ms",
+            "warm /detect (window-version hit)": f"{warm_s * 1000:.1f} ms",
             "executor round-trips": f"{len(pool_calls)} (of 2 requests)",
         })
         record_result("resultcache_serve_detect_cold", wall_clock_s=cold_s)

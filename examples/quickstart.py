@@ -271,10 +271,10 @@ def main() -> None:
     # test_serve_golden.py pins this per detector × scenario × batch
     # size), and ?cursor=N&wait=S long-polls resume from monotonic alert
     # seq ids without re-delivery.  On-demand /detect sweeps are cached
-    # too, keyed on a content hash of the tenant's ring window × the
-    # request — a repeat sweep over an unchanged window never reaches the
-    # executor (size via --detect-cache-size; any ingest changes the
-    # key).  In production you would run `repro serve --port 8377` and
+    # too, keyed on the request × the tenant's window version (its
+    # incarnation and ring append count) — a repeat sweep over an
+    # unchanged window never copies the ring or reaches the executor
+    # (size via --detect-cache-size; any ingest moves the version).  In production you would run `repro serve --port 8377` and
     # point ServeClient at it; here the server lives in-process on an
     # ephemeral port.
     from repro.serve import DetectionServer, ServeClient
@@ -297,7 +297,7 @@ def main() -> None:
             again = client.detect("quickstart")
             print(f"On-demand /detect: {len(swept['detections'])} "
                   f"detector(s) swept cold (cached={swept['cached']}); the "
-                  f"repeat over the unchanged window is a window-hash hit "
+                  f"repeat over the unchanged window is a cache hit "
                   f"(cached={again['cached']}), no executor round-trip")
 
     # Crash and restart: give the server a --state-dir and tenants become

@@ -123,34 +123,59 @@ def _make_window(machine_id: str, timestamps: np.ndarray, cpu: np.ndarray,
     )
 
 
-def _chronological_sum(buffer: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Row sums of each row's first ``counts`` entries, reproducing NumPy's
-    pairwise summation order exactly.
+#: Cells (machines × samples) one slab of :func:`thrashing_mask_block`
+#: sweeps at a time.  The sweep's temporaries scale with the slab, not
+#: with the block, so a wide ring or a long trace stays bounded.
+_SWEEP_CELLS = 8192
 
-    The per-series reference loop computes ``np.mean(healthy_recent)`` on a
-    chronological Python list; ``np.add.reduce`` sums fewer than 8 elements
-    sequentially and 8..128 elements through 8 accumulators plus a fixed
-    combination tree.  Emulating that order (instead of a plain masked
-    ``np.sum``) is what keeps the vectorized cluster scan *bit-identical*
-    to the per-series detector for any ``reference_window`` up to 128.
+
+def _healthy_reference(cpu: np.ndarray, healthy: np.ndarray,
+                       window: int) -> np.ndarray:
+    """The healthy-CPU reference of :func:`detect_thrashing` for a slab.
+
+    At sample ``i`` the per-series buffer holds the row's last
+    ``c = min(h, window)`` healthy CPU values, ``h`` being the number of
+    healthy samples before ``i``.  Packing each row's healthy values in
+    order makes that buffer a run of ``c`` values starting at ``h - c``.
+
+    The sum keeps ``np.mean``'s float order on the buffer: 8 accumulators
+    (value ``j`` feeds accumulator ``j % 8`` while ``j < c - c % 8``), a
+    fixed 8-way tree, then the remaining ``c % 8`` values in turn.  After
+    ``m`` accumulator steps, accumulator ``k`` of a run starting at ``s``
+    is ``0.0 + v[s + k] + v[s + k + 8] + ...``, so one strided sum and
+    three shifted adds over the packed values give every run's tree at
+    once, and a gather picks each sample's.  Every sample's sum sees the
+    per-series operations in their order: the reference is
+    *bit-identical* to :func:`detect_thrashing` for ``window`` up to 128.
     """
-    num_rows, width = buffer.shape
-    # Accumulator phase: element i of a row with c >= 8 entries feeds
-    # accumulator i % 8 while i < c - (c % 8); shorter rows skip it.
-    full = np.where(counts >= 8, counts - (counts % 8), 0)
-    accumulators = np.zeros((num_rows, 8), dtype=np.float64)
-    for i in range(width):
-        accumulators[:, i % 8] += np.where(i < full, buffer[:, i], 0.0)
-    a = accumulators
-    result = (((a[:, 0] + a[:, 1]) + (a[:, 2] + a[:, 3]))
-              + ((a[:, 4] + a[:, 5]) + (a[:, 6] + a[:, 7])))
-    # Remainder phase: the rest (everything, for rows shorter than 8) is
-    # folded in sequentially — adding 0.0 where a row has no element leaves
-    # its partial sum unchanged exactly.
-    for i in range(width):
-        result = result + np.where((i >= full) & (i < counts),
-                                   buffer[:, i], 0.0)
-    return result
+    num_rows, num_samples = cpu.shape
+    before = np.cumsum(healthy, axis=1) - healthy
+    count = np.minimum(before, window)
+    full = count - count % 8
+    per_row = before[:, -1] + healthy[:, -1]
+    start = (before - count) + (np.cumsum(per_row) - per_row)[:, np.newaxis]
+    # Every row's healthy values, row after row; the zero tail keeps every
+    # shifted add and gather below in range.
+    values = np.concatenate([cpu[healthy], np.zeros(window + 8)])
+    total = np.zeros((num_rows, num_samples), dtype=np.float64)
+    strided = 0.0 + values   # from +0.0, as np.add.reduce starts
+    for steps in range(1, int(full.max()) // 8 + 1):
+        if steps > 1:
+            strided = strided[:-8] + values[8 * (steps - 1):]
+        pairs = strided[:-1] + strided[1:]
+        quads = pairs[:-2] + pairs[2:]
+        tree = quads[:-4] + quads[4:]
+        total = np.where(full == 8 * steps, tree[start], total)
+    remainder = count - full
+    cells = np.flatnonzero(remainder)
+    if cells.size:
+        sums = total.ravel()[cells]
+        first = (start + full).ravel()[cells]
+        left = remainder.ravel()[cells]
+        for j in range(int(left.max())):
+            sums = sums + np.where(j < left, values[first + j], 0.0)
+        np.put(total, cells, sums)
+    return np.where(count > 0, total / np.maximum(count, 1), cpu)
 
 
 def thrashing_mask_block(timestamps: np.ndarray, cpu_block: np.ndarray,
@@ -163,36 +188,30 @@ def thrashing_mask_block(timestamps: np.ndarray, cpu_block: np.ndarray,
     (zero-copy :meth:`~repro.metrics.store.MetricStore.metric_block`
     views).  Returns ``(mask, reference)`` where ``mask[row, i]`` is True
     exactly when :func:`detect_thrashing` would flag machine ``row`` at
-    sample ``i`` — the sequential healthy-CPU reference recurrence runs
-    once over the samples, vectorized across every machine, instead of
-    once per machine in Python.
+    sample ``i``.
 
-    The bit-identity to :func:`detect_thrashing` holds for
-    ``reference_window`` up to 128 (see :func:`_chronological_sum`);
-    beyond NumPy's pairwise block size the reference means agree only to
-    float rounding — far past the default of 8 and any plausible tuning.
+    The healthy-CPU reference recurrence is swept vectorized across
+    machines *and* samples (:func:`_healthy_reference`): one exclusive
+    ``cumsum`` of the healthy flags locates every sample's reference
+    buffer among the row's healthy values, so a slab of at most
+    :data:`_SWEEP_CELLS` cells costs a few dozen array steps
+    (``reference_window / 8`` rounds of them), not a Python step per
+    sample.  Reference and mask are bit-identical to
+    :func:`detect_thrashing` for ``reference_window`` up to 128; beyond
+    NumPy's pairwise block size the reference means agree only to float
+    rounding — far past the default of 8 and any plausible tuning.
     """
     config = config if config is not None else ThrashingConfig()
     config.validate()
     num_rows, num_samples = cpu_block.shape
-    window = config.reference_window
-    buffer = np.zeros((num_rows, window), dtype=np.float64)
-    counts = np.zeros(num_rows, dtype=np.intp)
     reference = np.empty((num_rows, num_samples), dtype=np.float64)
-    for i in range(num_samples):
-        cpu_col = cpu_block[:, i]
-        sums = _chronological_sum(buffer, counts)
-        reference[:, i] = np.where(counts > 0,
-                                   sums / np.maximum(counts, 1), cpu_col)
-        healthy = mem_block[:, i] < config.mem_watermark
-        shift = healthy & (counts == window)
-        if shift.any():
-            buffer[shift, :-1] = buffer[shift, 1:]
-            buffer[shift, -1] = cpu_col[shift]
-        grow = healthy & (counts < window)
-        if grow.any():
-            buffer[grow, counts[grow]] = cpu_col[grow]
-            counts[grow] += 1
+    if num_samples:
+        step = max(1, _SWEEP_CELLS // num_samples)
+        for lo in range(0, num_rows, step):
+            hi = min(lo + step, num_rows)
+            reference[lo:hi] = _healthy_reference(
+                cpu_block[lo:hi], mem_block[lo:hi] < config.mem_watermark,
+                config.reference_window)
     mask = (mem_block >= config.mem_watermark) & (
         cpu_block <= config.cpu_drop_fraction * np.maximum(reference, 1e-9))
     return mask, reference

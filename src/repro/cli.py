@@ -767,8 +767,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "growth for wide tenants")
     serve.add_argument("--detect-cache-size", type=int, default=None,
                        help="per-server LRU capacity for cached /detect "
-                            "responses keyed on the ring window's content "
-                            "hash (default: 128; 0 disables caching)")
+                            "responses, one per tenant x request at its "
+                            "newest window version (default: 128; 0 "
+                            "disables caching)")
     serve.add_argument("--detect-timeout", type=float, default=120.0,
                        help="per-unit wall-clock budget for batch /detect "
                             "sweeps; a hung worker returns an error instead "

@@ -44,14 +44,11 @@ one pool, not N.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import threading
 from collections import OrderedDict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlsplit
-
-import numpy as np
 
 from repro.analysis.shard import ShardExecutor
 from repro.errors import (
@@ -71,59 +68,61 @@ MAX_POLL_WAIT_S = 30.0
 DEFAULT_DETECT_CACHE_SIZE = 128
 
 
-def _detect_window_key(tenant_id: str, detectors: str,
-                       metrics: "tuple[str, ...]", snapshot) -> str:
-    """Content hash of one ``/detect`` request against one ring window.
+def _detect_window_key(tenant: Tenant, detectors: str,
+                       metrics: "tuple[str, ...]") -> "tuple[tuple, tuple]":
+    """``(request, window version)`` of one ``/detect`` request.
 
-    The run-result-cache idiom applied to the serve hot path: the key is
-    a sha256 over the *request* (tenant, canonical detector spec,
-    metrics) and the *window content* (machine ids, store metrics,
-    timestamp bytes, sample bytes).  A repeated sweep over an unchanged
-    window hits; any ingested frame changes the ring bytes and misses —
-    there is no invalidation bookkeeping to get wrong.
+    The request is (tenant id, canonical detector spec, metrics); the
+    version is the tenant's :meth:`~repro.serve.tenants.Tenant.window_version`
+    — (incarnation, ring append count) — which changes with every ring
+    append, so a repeated sweep over an unchanged window hits and any
+    ingested frame misses, without hashing or copying the ring.
     """
-    digest = hashlib.sha256()
-    digest.update(json.dumps(
-        {"tenant": tenant_id, "detectors": detectors,
-         "metrics": list(metrics)}, sort_keys=True).encode("utf-8"))
-    digest.update(b"\0")
-    for machine_id in snapshot.machine_ids:
-        digest.update(str(machine_id).encode("utf-8") + b"\0")
-    digest.update(",".join(snapshot.metrics).encode("utf-8") + b"\0")
-    digest.update(np.ascontiguousarray(snapshot.timestamps).tobytes())
-    digest.update(np.ascontiguousarray(snapshot.data).tobytes())
-    return digest.hexdigest()
+    return ((tenant.spec.tenant_id, detectors, tuple(metrics)),
+            tenant.window_version())
 
 
 class _DetectCache:
-    """Bounded LRU of ``/detect`` responses, keyed by window content hash.
+    """Bounded LRU of ``/detect`` responses, keyed by window version.
 
-    Entries never go stale — ingest changes the window bytes and thereby
-    the key — so eviction is purely a size bound: least recently *hit*
-    first.  Thread-safe (handler threads share it)."""
+    A key is ``(request, version)``, and each request keeps only its
+    newest version: a lookup hits only on an equal version, and ``put``
+    replaces an older version but never a newer one.  Superseded
+    responses therefore never pile up — the cache holds at most one
+    response per live (tenant, request) window — and ``size`` bounds the
+    number of requests, least recently *hit* evicted first.  Thread-safe
+    (handler threads share it)."""
 
     def __init__(self, size: int) -> None:
         self.size = size
         self.hits = 0
         self.misses = 0
         self._lock = threading.Lock()
-        self._entries: "OrderedDict[str, dict]" = OrderedDict()
+        self._entries: "OrderedDict[tuple, tuple[tuple, dict]]" = OrderedDict()
 
-    def get(self, key: str) -> dict | None:
+    def __len__(self) -> int:
         with self._lock:
-            try:
-                value = self._entries.pop(key)
-            except KeyError:
+            return len(self._entries)
+
+    def get(self, key: "tuple[tuple, tuple]") -> dict | None:
+        request, version = key
+        with self._lock:
+            entry = self._entries.get(request)
+            if entry is None or entry[0] != version:
                 self.misses += 1
                 return None
-            self._entries[key] = value   # re-insert: most recently used
+            self._entries.move_to_end(request)   # most recently used
             self.hits += 1
-            return value
+            return entry[1]
 
-    def put(self, key: str, value: dict) -> None:
+    def put(self, key: "tuple[tuple, tuple]", value: dict) -> None:
+        request, version = key
         with self._lock:
-            self._entries.pop(key, None)
-            self._entries[key] = value
+            entry = self._entries.get(request)
+            if entry is not None and entry[0] > version:
+                return   # a newer window's response is already cached
+            self._entries[request] = (version, value)
+            self._entries.move_to_end(request)
             while len(self._entries) > self.size:
                 self._entries.popitem(last=False)
 
@@ -164,8 +163,15 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _read_json(self) -> dict:
         # Always consume the body (keep-alive would otherwise read it as
-        # the next request line), then parse.
-        length = int(self.headers.get("Content-Length", 0) or 0)
+        # the next request line), then parse.  A malformed length leaves
+        # the body's end unknown, so that connection closes after the 400.
+        declared = (self.headers.get("Content-Length") or "0").strip()
+        if not (declared.isascii() and declared.isdigit()):
+            self.close_connection = True
+            raise ServeError(
+                f"Content-Length must be a non-negative integer, got "
+                f"{declared!r}")
+        length = int(declared)
         raw = self.rfile.read(length) if length else b""
         if not raw:
             return {}
@@ -202,6 +208,8 @@ class _Handler(BaseHTTPRequestHandler):
             status, payload = 400, {"error": str(exc)}
         except Exception as exc:  # noqa: BLE001 - wire boundary
             status, payload = 500, {"error": f"{type(exc).__name__}: {exc}"}
+        if self.close_connection:   # this reply ends the connection
+            headers = {**(headers or {}), "Connection": "close"}
         self._send_json(status, payload, headers)
 
     def do_GET(self) -> None:
@@ -231,8 +239,8 @@ class DetectionServer:
         if detect_cache_size < 0:
             raise ServeError(f"detect_cache_size must be non-negative, got "
                              f"{detect_cache_size}")
-        #: Window-content-hashed ``/detect`` response cache (``None``
-        #: when disabled with ``detect_cache_size=0``).
+        #: Window-versioned ``/detect`` response cache (``None`` when
+        #: disabled with ``detect_cache_size=0``).
         self.detect_cache = (_DetectCache(detect_cache_size)
                              if detect_cache_size > 0 else None)
         self.registry = TenantRegistry(max_tenants=max_tenants, state=state)
@@ -358,12 +366,14 @@ class DetectionServer:
         sweep runs on the server-wide shared pool, outside the tenant
         lock, so ingest continues while it computes.
 
-        Responses are cached keyed on the **content hash of the ring
-        window** plus the request (canonical detector spec × metrics): a
-        repeated sweep over an unchanged window skips the
+        Responses are cached keyed on the request (canonical detector
+        spec × metrics) plus the **window version** — the tenant's
+        incarnation and ring append count: a repeated sweep over an
+        unchanged window skips the ring copy and the
         :class:`~repro.analysis.shard.ShardExecutor` round-trip entirely
-        and is marked ``"cached": true``.  Any ingested frame changes
-        the window bytes, so stale hits are impossible by construction.
+        and is marked ``"cached": true``.  Every ring append moves the
+        version, so stale hits are impossible by construction; a
+        response is cached only under the version its copy was taken at.
         """
         if self._closed:
             raise ServiceUnavailableError(
@@ -381,11 +391,9 @@ class DetectionServer:
         if isinstance(metrics, str):
             metrics = (metrics,)
         plans, spec_string = compile_plans(detectors, tuple(metrics))
-        snapshot = tenant.snapshot()   # copy — sweep needs no tenant lock
         key = None
         if self.detect_cache is not None and spec_string is not None:
-            key = _detect_window_key(tenant.spec.tenant_id, spec_string,
-                                     tuple(metrics), snapshot)
+            key = _detect_window_key(tenant, spec_string, tuple(metrics))
             cached = self.detect_cache.get(key)
             if cached is not None:
                 # Shallow copy: the nested lists are never mutated (the
@@ -393,6 +401,9 @@ class DetectionServer:
                 response = dict(cached)
                 response["cached"] = True
                 return response
+        snapshot = tenant.snapshot()   # copy — sweep needs no tenant lock
+        if key is not None and tenant.window_version() != key[1]:
+            key = None   # an ingest landed after the lookup: not key's window
         results = self.executor.run_many(
             snapshot, [(plan.detector, plan.metric) for plan in plans])
         response = {"tenant": tenant.spec.tenant_id,

@@ -26,6 +26,7 @@ chunk-preservation of the journal, not a parallel code path.
 
 from __future__ import annotations
 
+import itertools
 import re
 import threading
 from dataclasses import dataclass
@@ -53,6 +54,10 @@ from repro.stream.monitor import MonitorConfig, OnlineMonitor
 #: state dir).  The dot-only forms are excluded by requiring at least one
 #: non-dot character.
 _TENANT_ID_RE = re.compile(r"^(?=.*[A-Za-z0-9_+-])[A-Za-z0-9._+-]{1,128}$")
+
+#: Numbers every :class:`Tenant` built in this process, so a deleted and
+#: re-created tenant id never shares a window version with its namesake.
+_INCARNATIONS = itertools.count(1)
 
 
 @dataclass(frozen=True)
@@ -187,6 +192,8 @@ class Tenant:
         #: Durable state handle (:class:`TenantPersistence`), or ``None``
         #: for a memory-only tenant (no ``--state-dir``).
         self.persist = persist
+        #: This process's number for this tenant object (never reused).
+        self.incarnation = next(_INCARNATIONS)
         self._ingest_seq = 0
         self._samples_since_snapshot = 0
 
@@ -373,6 +380,18 @@ class Tenant:
             if self.num_samples:
                 info["latest_timestamp"] = self.monitor.store.latest_timestamp
             return info
+
+    def window_version(self) -> "tuple[int, int]":
+        """``(incarnation, ring append count)``: changes whenever the ring does.
+
+        The count is the ring's own (not the ingest seq), so an ingest
+        that appended to the ring and then failed still moves it; the
+        incarnation tells a re-created tenant from its deleted namesake.
+        Versions of one tenant id only ever grow.
+        """
+        with self.cond:
+            self._check_open()
+            return self.incarnation, self.monitor.store.total_samples
 
     def snapshot(self) -> MetricStore:
         """Independent copy of the ring window (for batch ``/detect``)."""

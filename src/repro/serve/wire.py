@@ -40,9 +40,12 @@ def payload_to_block(payload: dict,
 
     ``block`` comes back in the store layout — ``(machines, metrics,
     samples)`` float64 — ready for :meth:`MetricStore.from_dense`.
-    Malformed payloads raise :class:`ServeError` naming the defect;
-    value-range and timestamp-ordering checks are left to the ring, which
-    already enforces them.
+    Malformed payloads raise :class:`ServeError` naming the defect.  The
+    batch's timestamps must be finite and strictly increasing — checked
+    here, before a durable tenant journals the batch, because a journaled
+    ``inf`` would refuse every later frame, across restarts too.  Value
+    ranges and ordering against the ring's newest sample are left to the
+    ring, whose rejection rolls a durable tenant's journal back.
     """
     if not isinstance(payload, dict):
         raise ServeError(f"frame payload must be an object, got {payload!r}")
@@ -71,6 +74,15 @@ def payload_to_block(payload: dict,
     if ts.ndim != 1:
         raise ServeError(
             f"'timestamps' must be a flat list, got shape {ts.shape}")
+    bad = np.flatnonzero(~np.isfinite(ts))
+    if bad.size:
+        raise ServeError(f"frame timestamps must be finite; timestamps"
+                         f"[{bad[0]}] is {ts[bad[0]]}")
+    bad = np.flatnonzero(np.diff(ts) <= 0) + 1
+    if bad.size:
+        raise ServeError(f"frame timestamps must be strictly increasing; "
+                         f"timestamps[{bad[0]}] = {ts[bad[0]]} is not after "
+                         f"{ts[bad[0] - 1]}")
     expected = (ts.shape[0], num_machines, len(METRICS))
     if stacked.shape != expected:
         raise ServeError(

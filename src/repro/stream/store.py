@@ -180,6 +180,16 @@ class StreamingMetricStore:
         return self._count
 
     @property
+    def total_samples(self) -> int:
+        """Samples ever appended: the ring's append counter.
+
+        Every write advances it, so on one ring an unchanged count means
+        an unchanged window — the ``/detect`` response cache versions its
+        entries with it.
+        """
+        return self._total
+
+    @property
     def latest_timestamp(self) -> float:
         if not self._count:
             raise SeriesError("no samples ingested yet")

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.thrashing import (
     ThrashingConfig,
@@ -152,3 +154,95 @@ class TestBlockScanParity:
         assert mask.shape == (4, 20)
         assert reference.shape == (4, 20)
         assert mask.dtype == bool
+
+
+def _scalar_reference(cpu: np.ndarray, mem: np.ndarray,
+                      config: ThrashingConfig):
+    """A per-row copy of :func:`detect_thrashing`'s reference recurrence."""
+    reference = np.empty(cpu.shape[0])
+    healthy_recent: list[float] = []
+    for i in range(cpu.shape[0]):
+        if healthy_recent:
+            reference[i] = float(np.mean(healthy_recent))
+        else:
+            reference[i] = cpu[i]
+        if mem[i] < config.mem_watermark:
+            healthy_recent.append(float(cpu[i]))
+            if len(healthy_recent) > config.reference_window:
+                healthy_recent.pop(0)
+    mask = (mem >= config.mem_watermark) & (
+        cpu <= config.cpu_drop_fraction * np.maximum(reference, 1e-9))
+    return mask, reference
+
+
+class TestSweepProperty:
+    """The vectorized reference sweep against the per-series recurrence on
+    random blocks: any rows and samples (0 and 1 included), every
+    ``reference_window`` up to NumPy's pairwise block size, memory values
+    tied with the watermark, signed CPU zeros, and slabs cut at arbitrary
+    row boundaries."""
+
+    @staticmethod
+    def _block(seed, num_machines, num_samples, watermark, tie_fraction):
+        rng = np.random.default_rng(seed)
+        shape = (num_machines, num_samples)
+        cpu = rng.uniform(0.0, 100.0, shape)
+        cpu[rng.random(shape) < 0.1] = 0.0
+        cpu[rng.random(shape) < 0.1] = -0.0   # in range, and np.mean -> +0.0
+        cpu[rng.integers(num_machines)] = -0.0   # a machine idle throughout
+        mem = rng.uniform(watermark - 30.0, 100.0, shape)
+        mem[rng.random(shape) < tie_fraction] = watermark
+        return cpu, mem
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           num_machines=st.integers(1, 12),
+           num_samples=st.sampled_from([0, 1, 2, 7, 8, 9, 17, 64, 150, 300]),
+           window=st.integers(1, 128),
+           watermark=st.sampled_from([85.0, 60.0, 99.5]),
+           tie_fraction=st.sampled_from([0.0, 0.1, 0.5]),
+           cells=st.sampled_from([1, 5, 64, 8192]))
+    @settings(max_examples=80, deadline=None)
+    def test_mask_and_reference_equal_per_row_recurrence(
+            self, seed, num_machines, num_samples, window, watermark,
+            tie_fraction, cells):
+        from unittest import mock
+
+        import repro.analysis.thrashing as thrashing
+
+        cpu, mem = self._block(seed, num_machines, num_samples, watermark,
+                               tie_fraction)
+        config = ThrashingConfig(mem_watermark=watermark,
+                                 reference_window=window)
+        with mock.patch.object(thrashing, "_SWEEP_CELLS", cells):
+            mask, reference = thrashing.thrashing_mask_block(
+                np.arange(num_samples) * 60.0, cpu, mem, config=config)
+        assert mask.shape == reference.shape == cpu.shape
+        for row in range(num_machines):
+            want_mask, want_ref = _scalar_reference(cpu[row], mem[row], config)
+            assert np.array_equal(mask[row], want_mask)
+            assert np.array_equal(reference[row].view(np.uint64),
+                                  want_ref.view(np.uint64))
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           num_machines=st.integers(1, 8),
+           num_samples=st.sampled_from([0, 1, 9, 40, 130]),
+           window=st.integers(1, 128),
+           tie_fraction=st.sampled_from([0.0, 0.3]))
+    @settings(max_examples=40, deadline=None)
+    def test_cluster_report_equals_per_series_detection(
+            self, seed, num_machines, num_samples, window, tie_fraction):
+        from repro.metrics.store import MetricStore
+
+        cpu, mem = self._block(seed, num_machines, num_samples, 85.0,
+                               tie_fraction)
+        ids = [f"m{i}" for i in range(num_machines)]
+        store = MetricStore(ids, np.arange(num_samples) * 60.0)
+        store.data[:, 0, :] = cpu
+        store.data[:, 1, :] = mem
+        config = ThrashingConfig(reference_window=window)
+        report = cluster_thrashing_report(store, config=config)
+        for machine_id in ids:
+            direct = detect_thrashing(store.series(machine_id, "cpu"),
+                                      store.series(machine_id, "mem"),
+                                      machine_id=machine_id, config=config)
+            assert report.get(machine_id, []) == direct, machine_id

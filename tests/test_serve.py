@@ -95,6 +95,18 @@ class TestWireEncodings:
         with pytest.raises(ServeError):
             payload_to_block(payload, 3)
 
+    @pytest.mark.parametrize("payload", [
+        {"timestamp": float("inf"), "frame": [[1.0] * 3] * 3},
+        {"timestamps": [float("-inf")], "frames": [[[1.0] * 3] * 3]},
+        {"timestamps": [float("nan"), 5.0], "frames": [[[1.0] * 3] * 3] * 2},
+        {"timestamps": [5.0, float("nan")], "frames": [[[1.0] * 3] * 3] * 2},
+        {"timestamps": [5.0, 5.0], "frames": [[[1.0] * 3] * 3] * 2},
+        {"timestamps": [6.0, 5.0], "frames": [[[1.0] * 3] * 3] * 2},
+    ])
+    def test_bad_frame_timestamps_rejected(self, payload):
+        with pytest.raises(ServeError, match="frame timestamps must be"):
+            payload_to_block(payload, 3)
+
     def test_store_to_payloads_covers_every_sample(self, healthy_bundle):
         store = healthy_bundle.usage
         payloads = store_to_payloads(store, 7)
@@ -244,6 +256,27 @@ class TestEndpoints:
         conn.close()
         assert response.status == 400
         assert "JSON" in body["error"]
+
+    @pytest.mark.parametrize("length", ["-1", "abc"])
+    def test_malformed_content_length_is_400(self, server, length, capsys):
+        import socket
+
+        request = (f"POST /tenants HTTP/1.1\r\nHost: test\r\n"
+                   f"Content-Length: {length}\r\n\r\n").encode("ascii")
+        with socket.create_connection((server.host, server.port),
+                                      timeout=10) as sock:
+            started = time.perf_counter()
+            sock.sendall(request)
+            reply = b""
+            while chunk := sock.recv(65536):   # the server closes: EOF
+                reply += chunk
+            elapsed = time.perf_counter() - started
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.split(b"\r\n")[0] == b"HTTP/1.1 400 Bad Request"
+        assert "Content-Length" in json.loads(body)["error"]
+        # Answered at once, not after the handler's 5 s socket timeout.
+        assert elapsed < 2.5
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_ingest_and_cursor_walk(self, client):
         client.create_tenant({"id": "walk", "machines": MACHINES})
@@ -436,3 +469,32 @@ class TestServerLifecycle:
             with pytest.raises(ServeError, match="draining"):
                 client.create_tenant({"machines": MACHINES})
         server.close()
+
+
+class TestPoisonedTimestamps:
+    """A batch with timestamps the ring could never order is refused
+    before a durable tenant journals it, so it cannot brick the tenant."""
+
+    @pytest.mark.parametrize("bad", [[float("inf")], [float("nan"), 5.0]])
+    def test_rejected_before_the_journal(self, tmp_path, bad):
+        state = tmp_path / "state"
+        ts, frames = make_frames(6, seed=7)
+        with DetectionServer(port=0, state_dir=state) as srv, \
+                ServeClient(srv.host, srv.port) as client:
+            client.create_tenant({"id": "t1", "machines": MACHINES})
+            client.ingest_frames("t1", ts[:3], frames[:3])
+            journal = state / "tenants" / "t1" / "journal.wal"
+            size = journal.stat().st_size
+            with pytest.raises(ServeError, match="finite"):
+                client.ingest_frames("t1", bad, frames[3:3 + len(bad)])
+            assert journal.stat().st_size == size
+            assert client.ingest_frames("t1", ts[3:],
+                                        frames[3:])["total_samples"] == 6
+            events = client.events("t1")
+        with DetectionServer(port=0, state_dir=state) as srv, \
+                ServeClient(srv.host, srv.port) as client:
+            assert srv.recovered == ["t1"]
+            summary = client.summary("t1")
+            assert summary["num_samples"] == 6
+            assert summary["latest_timestamp"] == float(ts[-1])
+            assert client.events("t1") == events

@@ -1,11 +1,13 @@
 """Tests for the serve-layer /detect response cache and the byte-based
 journal-compaction trigger.
 
-The detect cache is keyed on the content hash of the tenant's ring
-window plus the request (canonical detector spec × metrics): a repeat
-sweep over an unchanged window must skip the executor entirely and
-return the identical response, and any ingested frame must change the
-key (no invalidation logic to get wrong — content addressing again).
+The detect cache is keyed on the request (canonical detector spec ×
+metrics) plus the tenant's **window version** — (tenant incarnation, ring
+append count): a repeat sweep over an unchanged window must skip the
+executor entirely and return the identical response, any ring append
+must change the version (even one made by an ingest that then failed),
+a re-created tenant must never hit its deleted namesake's entries, and
+each (tenant, request) keeps only its newest version.
 """
 
 from __future__ import annotations
@@ -120,6 +122,70 @@ class TestDetectCache:
     def test_negative_cache_size_rejected(self):
         with pytest.raises(ServeError):
             DetectionServer(port=0, detect_cache_size=-1)
+
+    def test_recreated_tenant_misses(self, client):
+        """Same id, same sample count, other data: a new incarnation."""
+        fill_tenant(client, "t1", seed=0)
+        client.detect("t1")
+        assert client.detect("t1")["cached"] is True
+        client.delete_tenant("t1")
+        fill_tenant(client, "t1", seed=1)
+        fresh = client.detect("t1")
+        assert fresh["cached"] is False
+        with DetectionServer(port=0, detect_cache_size=0) as srv, \
+                ServeClient(srv.host, srv.port) as other:
+            fill_tenant(other, "t1", seed=1)
+            assert fresh["detections"] == other.detect("t1")["detections"]
+
+    def test_one_entry_per_tenant_and_request(self, server, client):
+        """Superseded window versions are replaced, not kept beside."""
+        stamps = {}
+        for tenant_id in ("t1", "t2"):
+            ts, _ = fill_tenant(client, tenant_id)
+            stamps[tenant_id] = float(ts[-1])
+        _, frames = make_frames(20, seed=5)
+        for cycle in range(20):
+            for tenant_id in ("t1", "t2"):
+                stamps[tenant_id] += 60.0
+                client.ingest_frames(tenant_id, [stamps[tenant_id]],
+                                     frames[cycle:cycle + 1])
+                assert client.detect(tenant_id)["cached"] is False
+                assert client.detect(tenant_id, detectors="ewma")[
+                    "cached"] is False
+        assert len(server.detect_cache) == 4
+        assert client.detect("t2", detectors="ewma")["cached"] is True
+
+    def test_failed_ingest_after_ring_append_misses(self, server, client,
+                                                    monkeypatch):
+        """The ring moved though the ingest seq did not: the version moves."""
+        ts, frames = fill_tenant(client)
+        client.detect("t1")
+        assert client.detect("t1")["cached"] is True
+        tenant = server.registry.get("t1")
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("detector state failed mid-ingest")
+
+        monkeypatch.setattr(tenant.engine, "run_incremental", boom)
+        with pytest.raises(ServeError, match="mid-ingest"):
+            client.ingest_frames("t1", [float(ts[-1] + 60.0)], frames[:1])
+        monkeypatch.undo()
+        fresh = client.detect("t1")
+        assert fresh["cached"] is False
+        assert fresh["num_samples"] == len(ts) + 1
+
+    def test_older_version_never_replaces_newer(self):
+        from repro.serve.server import _DetectCache
+
+        cache = _DetectCache(4)
+        request = ("t1", "threshold", ("cpu",))
+        cache.put((request, (1, 30)), {"n": 30})
+        cache.put((request, (1, 24)), {"n": 24})   # a slower, older sweep
+        assert cache.get((request, (1, 30))) == {"n": 30}
+        assert cache.get((request, (1, 24))) is None
+        cache.put((request, (2, 24)), {"n": "re-created"})
+        assert cache.get((request, (2, 24))) == {"n": "re-created"}
+        assert len(cache) == 1
 
 
 class TestSnapshotBytes:
