@@ -49,7 +49,7 @@ class TestThrashingDetectionQuality:
 
                 monitor = ThresholdMonitor(cpu_threshold=95.0, mem_threshold=95.0,
                                            disk_threshold=95.0)
-                monitor.scan(bundle.usage)
+                monitor.ingest(monitor.scan_pipeline(bundle.usage).run())
                 base_p, base_r = machine_prf(monitor.alerted_machines(window), truth)
                 rows.append((lens_p, lens_r, base_p, base_r))
             return np.asarray(rows)

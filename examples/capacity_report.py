@@ -59,7 +59,7 @@ def main() -> None:
     print("Baseline 2: threshold monitor (90 % static thresholds)")
     print("=" * 72)
     monitor = ThresholdMonitor()
-    alerts = monitor.scan(bundle.usage)
+    alerts = monitor.ingest(monitor.scan_pipeline(bundle.usage).run())
     print(f"{len(alerts)} alert(s) on {len(monitor.alerted_machines())} machine(s)")
     for alert in alerts[:10]:
         print(f"  {alert.machine_id} {alert.metric} >= threshold from "

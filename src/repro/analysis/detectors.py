@@ -579,14 +579,6 @@ class FlatlineDetector(BlockDetector):
         return self._block_mask(timestamps, values)
 
 
-DETECTORS = {
-    "threshold": ThresholdDetector,
-    "zscore": RollingZScoreDetector,
-    "ewma": EwmaDetector,
-    "flatline": FlatlineDetector,
-}
-
-
 def detect_all(series: TimeSeries, detectors: Sequence | None = None, *,
                metric: str = "cpu", subject: str = "") -> list[AnomalyEvent]:
     """Run several detectors over one series and pool their events."""

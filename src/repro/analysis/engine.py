@@ -43,7 +43,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.analysis.detectors import (
-    DETECTORS,
     AnomalyEvent,
     BlockDetection,
     _as_block,
@@ -56,14 +55,16 @@ from repro.metrics.store import MetricStore
 
 
 def _resolve_detector(detector) -> object:
-    """Accept a registered detector name or a ready detector instance."""
+    """Accept a registered detector name or a ready detector instance.
+
+    Names resolve through the one registry, :mod:`repro.pipeline.detectors`
+    (which imports this package, hence the local import); an unknown name
+    raises its :class:`~repro.errors.PipelineError`.
+    """
     if isinstance(detector, str):
-        try:
-            return DETECTORS[detector]()
-        except KeyError:
-            raise SeriesError(
-                f"unknown detector {detector!r}; registered: "
-                f"{sorted(DETECTORS)}") from None
+        from repro.pipeline.detectors import get_detector
+
+        return get_detector(detector)
     return detector
 
 
@@ -363,16 +364,24 @@ class DetectionEngine:
     """Run detectors across an entire :class:`MetricStore` in one array pass.
 
     ``detectors`` maps names to detector instances; it defaults to one
-    default-configured instance of every registered detector class
-    (:data:`repro.analysis.detectors.DETECTORS`).  Detectors without an
-    array-level ``detect_block`` (third-party per-series implementations)
-    are still accepted — the engine falls back to an internal per-series
-    sweep that produces the identical result shape.
+    default-configured instance of every default detector in the registry
+    (:func:`~repro.pipeline.detectors.default_detector_names`).  A name
+    passed to :meth:`run` or :meth:`stream` is looked up in this map first
+    and then in the registry.  Detectors without an array-level
+    ``detect_block`` (third-party per-series implementations) are still
+    accepted — the engine falls back to an internal per-series sweep that
+    produces the identical result shape.
     """
 
     def __init__(self, detectors: Mapping[str, object] | None = None) -> None:
         if detectors is None:
-            detectors = {name: cls() for name, cls in DETECTORS.items()}
+            from repro.pipeline.detectors import (
+                default_detector_names,
+                get_detector,
+            )
+
+            detectors = {name: get_detector(name)
+                         for name in default_detector_names()}
         self.detectors = dict(detectors)
 
     # -- core pass -------------------------------------------------------------

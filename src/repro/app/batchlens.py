@@ -21,15 +21,12 @@ is one spec away::
     result.flagged_machines()
     result.scores                       # precision/recall per anomaly
 
-(The older :meth:`BatchLens.detect` survives as a deprecation-warned shim
-over the same pipeline.)  Every chart is also available as a plain *model*
-(``*_model`` methods via :class:`~repro.app.session.AnalysisSession`) for
-programmatic analysis.
+Every chart is also available as a plain *model* (``*_model`` methods via
+:class:`~repro.app.session.AnalysisSession`) for programmatic analysis.
 """
 
 from __future__ import annotations
 
-import warnings
 from pathlib import Path
 
 from repro.analysis.patterns import RegimeAssessment, classify_regime
@@ -150,45 +147,6 @@ class BatchLens:
         from repro.pipeline import Pipeline
 
         return Pipeline.from_bundle(self.bundle, **kwargs)
-
-    def detect(self, detector="threshold", *, metric: str = "cpu",
-               window: tuple[float, float] | None = None) -> list:
-        """Cluster-wide anomaly events of one detector, in a single pass.
-
-        .. deprecated::
-            Thin shim over :meth:`pipeline`; new code should run
-            ``lens.pipeline(detectors=..., sinks=()).run()`` and read
-            events / flagged machines / scores off the
-            :class:`~repro.pipeline.RunResult`.
-
-        ``detector`` is a registered name (``threshold``, ``zscore``,
-        ``ewma``, ``flatline``) or any detector instance; the sweep runs
-        through the :class:`~repro.analysis.engine.DetectionEngine` over the
-        zero-copy metric block, never copying per-machine series.  The full
-        trace is always swept; ``window`` filters the *returned events* by
-        overlap (the same semantics the ground-truth scoring uses), so
-        stateful detectors keep their full warm-up history::
-
-            events = lens.detect("zscore", metric="mem")
-        """
-        warnings.warn(
-            "BatchLens.detect is deprecated; use "
-            "lens.pipeline(detectors=..., sinks=()).run() instead",
-            DeprecationWarning, stacklevel=2)
-        if isinstance(detector, str):
-            from repro.pipeline import get_detector
-
-            name, instance = detector, get_detector(detector)
-        else:
-            from repro.analysis.engine import detector_kind
-
-            name, instance = detector_kind(detector), detector
-        result = self.pipeline(detectors={name: instance}, metrics=(metric,),
-                               sinks=()).run()
-        events = result.events()
-        if window is not None:
-            events = [e for e in events if e.overlaps(window[0], window[1])]
-        return events
 
     # -- charts -------------------------------------------------------------------------
     def bubble_chart(self, timestamp: float, *, max_jobs: int | None = None,

@@ -5,16 +5,19 @@ thresholds firing alerts, with no notion of the batch hierarchy.  The E9
 benchmark compares its alert quality against the BatchLens analysis layer
 (which knows which job caused what) on traces with injected anomalies.
 
-The scan is a thin adapter over the declarative pipeline
-(:mod:`repro.pipeline`): one :class:`~repro.pipeline.Pipeline` batch run
-sweeps every metric of the whole cluster through the vectorized
+A scan is one batch run of the declarative pipeline (:mod:`repro.pipeline`)
+folded into alerts::
+
+    monitor = ThresholdMonitor(cpu_threshold=92.0)
+    alerts = monitor.ingest(monitor.scan_pipeline(store).run())
+
+The run sweeps every metric of the whole cluster through the vectorized
 :class:`~repro.analysis.engine.DetectionEngine` — one array pass per metric
 instead of a per-machine, per-metric series loop.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 from repro.analysis.detectors import AnomalyEvent, ThresholdDetector
@@ -50,24 +53,8 @@ class ThresholdMonitor:
         return {"cpu": self.cpu_threshold, "mem": self.mem_threshold,
                 "disk": self.disk_threshold}[metric]
 
-    def scan(self, store: MetricStore) -> list[Alert]:
-        """Scan every machine/metric block and collect alerts.
-
-        .. deprecated::
-            Thin shim over :class:`~repro.pipeline.Pipeline`; new code
-            should build the pipeline directly (see :meth:`scan_pipeline`)
-            and read alerts off the :class:`~repro.pipeline.RunResult`.
-        """
-        warnings.warn(
-            "ThresholdMonitor.scan is deprecated; run "
-            "ThresholdMonitor.scan_pipeline(store).run() (or build a "
-            "repro.pipeline.Pipeline directly)", DeprecationWarning,
-            stacklevel=2)
-        result = self.scan_pipeline(store).run()
-        return self.ingest(result)
-
     def scan_pipeline(self, store: MetricStore):
-        """The pipeline equivalent of one scan: one plan per metric.
+        """The pipeline that scans ``store``: one plan per metric.
 
         One batch :class:`~repro.pipeline.Pipeline` run judges the whole
         cluster — one vectorized engine pass per metric.

@@ -22,7 +22,7 @@ summaries, dashboards).
     }).run()
 
 New workloads and backends are config changes, not new glue code:
-``BatchLens.detect``, the threshold-monitor baseline, the manifest scoring
+``BatchLens.pipeline``, the threshold-monitor baseline, the manifest scoring
 runners and the ``repro detect`` / ``monitor`` / ``compare`` sub-commands
 are all thin adapters over :class:`Pipeline`.
 """

@@ -32,7 +32,7 @@ Typical use::
     # programmatic — wrap data you already hold
     result = Pipeline.from_bundle(bundle, detectors="ewma").run()
 
-Every detection consumer in the repository — ``BatchLens.detect``, the
+Every detection consumer in the repository — ``BatchLens.pipeline``, the
 threshold-monitor baseline, the manifest scoring runners and the ``repro
 detect`` / ``repro monitor`` / ``repro compare`` sub-commands — is a thin
 adapter over this class; new consumers (and future sharded or multi-backend

@@ -10,11 +10,13 @@ such as::
 
 Grammar and parameter parsing are shared with the scenario spec parser
 (:func:`repro.scenarios.spec.parse_scenario_spec`): ``name(key=value,...)``
-parts joined with ``+``.  Part names resolve against a registry seeded with
-every detector class of :data:`repro.analysis.detectors.DETECTORS`
-(``threshold``, ``zscore``, ``ewma``, ``flatline``); third-party detectors
-join via :func:`register_detector` and immediately become addressable from
-pipeline specs and the CLI.
+parts joined with ``+``.  This registry is the one table of detector names:
+it holds the four per-series detectors of :mod:`repro.analysis.detectors`
+(``threshold``, ``zscore``, ``ewma``, ``flatline``) and the three cluster
+detectors of :mod:`repro.analysis.cluster_detectors`; third-party
+detectors join via :func:`register_detector` and immediately become
+addressable from pipeline specs, the CLI, the service and
+:class:`~repro.analysis.engine.DetectionEngine`.
 
 Unknown names raise :class:`~repro.errors.PipelineError` listing the
 registered names — a typo is a one-line message, never a traceback.
@@ -25,7 +27,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.analysis.detectors import DETECTORS
+from repro.analysis.detectors import (
+    EwmaDetector,
+    FlatlineDetector,
+    RollingZScoreDetector,
+    ThresholdDetector,
+)
 from repro.errors import BatchLensError, PipelineError
 from repro.scenarios.spec import parse_scenario_spec
 
@@ -101,16 +108,16 @@ def get_detector(name: str, **kwargs) -> object:
 
 
 register_detector(
-    "threshold", DETECTORS["threshold"],
+    "threshold", ThresholdDetector,
     "samples exceeding a static utilisation threshold")
 register_detector(
-    "zscore", DETECTORS["zscore"],
+    "zscore", RollingZScoreDetector,
     "samples whose rolling z-score exceeds a cut-off")
 register_detector(
-    "ewma", DETECTORS["ewma"],
+    "ewma", EwmaDetector,
     "samples deviating strongly from an EWMA forecast")
 register_detector(
-    "flatline", DETECTORS["flatline"],
+    "flatline", FlatlineDetector,
     "sustained stretches at (effectively) zero — dead machines")
 
 

@@ -68,6 +68,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 SOURCE_KINDS = ("trace-dir", "synthetic", "bundle", "store")
 MODES = ("batch", "streaming")
 CADENCES = ("catch-up", "sample")
+#: Largest ``streaming.window_samples`` a spec may ask for, 512× the
+#: default of 128.  A sanity bound rather than a memory budget: the
+#: mirrored ring keeps 2 × window float64 samples per machine and metric,
+#: so at most about 3 MB of ring per machine.
+MAX_WINDOW_SAMPLES = 65_536
 
 
 def _as_int(value, field_name: str) -> int:
@@ -238,8 +243,10 @@ class StreamingOptions:
             raise PipelineError(
                 f"unknown streaming cadence {self.cadence!r}; expected one "
                 f"of {list(CADENCES)}")
-        if self.window_samples < 1:
-            raise PipelineError("window_samples must be at least 1")
+        if not 2 <= self.window_samples <= MAX_WINDOW_SAMPLES:
+            raise PipelineError(
+                f"streaming.window_samples must be between 2 and "
+                f"{MAX_WINDOW_SAMPLES}, got {self.window_samples}")
         if self.chunk is not None:
             if self.chunk < 1:
                 raise PipelineError(

@@ -13,13 +13,15 @@ Grammar (whitespace around tokens is ignored)::
     kwargs := key "=" value ("," key "=" value)*
 
 Values are parsed as ``int``, ``float``, ``bool`` (``true``/``false``) or
-kept as strings.  Part names are resolved by the registry
-(:mod:`repro.scenarios.registry`): either a registered injector or a named
-scenario alias whose anomalies get spliced into the stack.
+kept as strings.  A number must be finite: ``nan``, ``inf`` and overflowing
+literals such as ``1e999`` are rejected.  Part names are resolved by the
+registry (:mod:`repro.scenarios.registry`): either a registered injector or
+a named scenario alias whose anomalies get spliced into the stack.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -66,7 +68,12 @@ def _parse_kwargs(raw: str | None, *, part: str) -> dict:
         if not key.isidentifier():
             raise SimulationError(
                 f"scenario part {part!r}: invalid parameter name {key!r}")
-        kwargs[key] = _parse_value(value)
+        parsed = _parse_value(value)
+        if isinstance(parsed, float) and not math.isfinite(parsed):
+            raise SimulationError(
+                f"scenario part {part!r}: parameter {key!r} must be a finite "
+                f"number, got {value.strip()!r}")
+        kwargs[key] = parsed
     return kwargs
 
 

@@ -496,9 +496,11 @@ class TenantRegistry:
             if len(self._tenants) >= self.max_tenants:
                 raise ServeError(
                     f"tenant capacity {self.max_tenants} reached")
-            persist = (self.state.create(spec.to_dict())
-                       if self.state is not None else None)
-            tenant = Tenant(spec, persist=persist)
+            # Build the live tenant first: a spec its monitor or ring
+            # rejects must leave nothing behind in the state dir.
+            tenant = Tenant(spec)
+            if self.state is not None:
+                tenant.persist = self.state.create(spec.to_dict())
             self._tenants[spec.tenant_id] = tenant
             self._next_id += 1
             return tenant

@@ -9,7 +9,7 @@ from repro.stream.monitor import (
     iter_samples,
     replay_bundle,
 )
-from repro.stream.online_stats import OnlineEwma, OnlineZScore, P2Quantile, RunningStats
+from repro.stream.online_stats import P2Quantile, RunningStats
 from repro.stream.replay import (
     ReplayCheckpoint,
     ReplayReport,
@@ -26,9 +26,7 @@ __all__ = [
     "ManagedAlert",
     "MonitorAlert",
     "MonitorConfig",
-    "OnlineEwma",
     "OnlineMonitor",
-    "OnlineZScore",
     "P2Quantile",
     "ReplayCheckpoint",
     "ReplayReport",

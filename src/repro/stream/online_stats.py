@@ -1,16 +1,17 @@
-"""Single-pass (online) statistics for the streaming monitor.
+"""Single-pass (online) statistics for the streaming replay report.
 
 The offline analysis layer can afford to hold whole utilisation series in
 memory; a live BatchLens deployment (§VI future work) cannot.  These small
 estimators maintain summary statistics one sample at a time with O(1) state:
 
 * :class:`RunningStats` — Welford's algorithm for mean / variance / extrema;
-* :class:`OnlineEwma` — exponentially-weighted mean and deviation, the
-  online counterpart of :class:`~repro.analysis.detectors.EwmaDetector`;
 * :class:`P2Quantile` — the P² algorithm for streaming quantile estimation
-  (used for live p95/p99 badges without storing samples);
-* :class:`OnlineZScore` — standardised deviation of the latest sample from
-  the running mean, the online counterpart of the rolling z-score detector.
+  (used for live p95/p99 badges without storing samples).
+
+Online *detection* does not live here: every registered detector carries
+its own incremental state through
+:meth:`~repro.analysis.engine.DetectionEngine.stream`, so streamed verdicts
+equal batch ones.
 """
 
 from __future__ import annotations
@@ -141,110 +142,6 @@ class RunningStats:
         return merged
 
 
-class OnlineEwma:
-    """Exponentially-weighted running mean and mean absolute deviation."""
-
-    __slots__ = ("alpha", "_mean", "_deviation", "_initialised")
-
-    def __init__(self, alpha: float = 0.3) -> None:
-        if not 0.0 < alpha <= 1.0:
-            raise SeriesError(f"alpha must be in (0, 1], got {alpha}")
-        self.alpha = alpha
-        self._mean = 0.0
-        self._deviation = 0.0
-        self._initialised = False
-
-    def update(self, value: float) -> float:
-        """Fold one sample; returns the absolute deviation from the forecast."""
-        value = float(value)
-        if not self._initialised:
-            self._mean = value
-            self._deviation = 0.0
-            self._initialised = True
-            return 0.0
-        residual = abs(value - self._mean)
-        self._mean = self.alpha * value + (1.0 - self.alpha) * self._mean
-        self._deviation = (self.alpha * residual
-                           + (1.0 - self.alpha) * self._deviation)
-        return residual
-
-    @staticmethod
-    def _scan(previous: float, alpha: float, values: np.ndarray) -> np.ndarray:
-        """All intermediate states of ``s_j = alpha v_j + (1-alpha) s_{j-1}``.
-
-        The recurrence unrolls to ``s_j = d^{j+1} s_{-1} + alpha * d^j *
-        cumsum(v_i d^{-i})`` with ``d = 1 - alpha``; computing it chunk-wise
-        keeps ``d^{-i}`` inside float range for any alpha.  Agrees with the
-        scalar loop to floating-point precision (property-pinned).
-        """
-        decay = 1.0 - alpha
-        n = values.shape[0]
-        out = np.empty(n, dtype=np.float64)
-        if decay == 0.0:
-            out[:] = values
-            return out
-        # d^{-i} must stay finite inside a chunk: cap i so that
-        # i * log10(1/d) stays well under float64's ~308 decades.
-        chunk = max(1, min(4096, int(250.0 / max(1e-12, -math.log10(decay)))))
-        state = float(previous)
-        for lo in range(0, n, chunk):
-            part = values[lo:lo + chunk]
-            c = part.shape[0]
-            powers = decay ** np.arange(c, dtype=np.float64)
-            weighted = np.cumsum(part / powers)
-            out[lo:lo + c] = powers * (decay * state + alpha * weighted)
-            state = float(out[lo + c - 1])
-        return out
-
-    def update_many(self, values) -> np.ndarray:
-        """Fold a batch of samples in one vectorized pass.
-
-        Returns the per-sample absolute deviations from the running
-        forecast (what :meth:`update` returns one at a time).  The mean
-        and deviation recurrences are evaluated through a chunked
-        closed-form scan; results agree with the scalar loop to
-        floating-point precision (property-pinned in the test suite).
-        """
-        values = _as_sample_array(values)
-        n = values.shape[0]
-        if n == 0:
-            return np.empty(0, dtype=np.float64)
-        residuals = np.empty(n, dtype=np.float64)
-        start = 0
-        if not self._initialised:
-            self._mean = float(values[0])
-            self._deviation = 0.0
-            self._initialised = True
-            residuals[0] = 0.0
-            start = 1
-            if n == 1:
-                return residuals
-        means = self._scan(self._mean, self.alpha, values[start:])
-        forecasts = np.concatenate(([self._mean], means[:-1]))
-        residuals[start:] = np.abs(values[start:] - forecasts)
-        deviations = self._scan(self._deviation, self.alpha,
-                                residuals[start:])
-        self._mean = float(means[-1])
-        self._deviation = float(deviations[-1])
-        return residuals
-
-    @property
-    def mean(self) -> float:
-        return self._mean
-
-    @property
-    def deviation(self) -> float:
-        return self._deviation
-
-    def is_anomalous(self, value: float, *, factor: float = 4.0,
-                     min_deviation: float = 2.0) -> bool:
-        """True when ``value`` deviates far more than the typical deviation."""
-        if not self._initialised:
-            return False
-        scale = max(self._deviation, min_deviation)
-        return abs(float(value) - self._mean) > factor * scale
-
-
 class P2Quantile:
     """Jain & Chlamtac's P² streaming quantile estimator.
 
@@ -346,37 +243,3 @@ class P2Quantile:
                         int(round(self.quantile * (len(ordered) - 1))))
             return ordered[index]
         return self._heights[2]
-
-
-class OnlineZScore:
-    """Z-score of the latest sample against the running mean and deviation."""
-
-    __slots__ = ("_stats", "min_std")
-
-    def __init__(self, *, min_std: float = 1.0) -> None:
-        if min_std <= 0:
-            raise SeriesError("min_std must be positive")
-        self._stats = RunningStats()
-        self.min_std = min_std
-
-    def update(self, value: float) -> float:
-        """Fold one sample; returns its z-score against the *previous* state."""
-        value = float(value)
-        if self._stats.count < 2:
-            score = 0.0
-        else:
-            score = (value - self._stats.mean) / max(self._stats.std, self.min_std)
-        self._stats.update(value)
-        return score
-
-    @property
-    def count(self) -> int:
-        return self._stats.count
-
-    @property
-    def mean(self) -> float:
-        return self._stats.mean
-
-    @property
-    def std(self) -> float:
-        return self._stats.std

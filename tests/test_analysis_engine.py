@@ -17,9 +17,12 @@ from repro.analysis.detectors import (
 )
 from repro.analysis.engine import DetectionEngine, default_engine, detect_cluster
 from repro.analysis.ensemble import EnsembleDetector
-from repro.errors import SeriesError
+from repro.errors import PipelineError, SeriesError
 from repro.metrics.series import TimeSeries
 from repro.metrics.store import MetricStore
+from repro.pipeline.detectors import detector_names, get_detector
+from repro.trace.synthetic import generate_trace
+from tests.conftest import fast_config
 
 
 def make_store() -> MetricStore:
@@ -146,8 +149,12 @@ class TestDetectionEngine:
         assert by_name.detector == "threshold"
 
     def test_unknown_detector_name(self):
-        with pytest.raises(SeriesError):
+        # unknown names fail in the one registry, whose message lists every
+        # registered name — cluster detectors included
+        with pytest.raises(PipelineError, match="unknown detector 'nope'") \
+                as excinfo:
             DetectionEngine().run(make_store(), "nope")
+        assert "sync_break" in str(excinfo.value)
 
     def test_flagged_machines_with_window(self):
         store = make_store()
@@ -235,6 +242,46 @@ class TestDetectionEngine:
         store = make_store()
         events = detect_cluster(store, "threshold", metric="cpu")
         assert {e.subject for e in events} == {"m1", "m3"}
+
+
+@pytest.fixture(scope="module")
+def every_detector_bundle():
+    """A small trace on which every built-in detector reports events."""
+    return generate_trace(fast_config(
+        "hot-job+machine-failure+load-imbalance+straggler", seed=12))
+
+
+class TestRegistryNames:
+    """The engine resolves every registered name through the one registry."""
+
+    @pytest.mark.parametrize("name", detector_names())
+    def test_run_by_name_equals_instance(self, name, every_detector_bundle):
+        bundle = every_detector_bundle
+        engine = DetectionEngine()
+        by_name = engine.run(bundle.usage, name, bundle=bundle)
+        by_instance = engine.run(bundle.usage, get_detector(name),
+                                 bundle=bundle)
+        assert by_instance.num_events > 0
+        assert by_name.detector == by_instance.detector
+        assert by_name.events() == by_instance.events()
+
+    @pytest.mark.parametrize("name", detector_names())
+    def test_stream_by_name_equals_instance(self, name, every_detector_bundle):
+        store = every_detector_bundle.usage
+        engine = DetectionEngine()
+        instance = get_detector(name)
+        if not hasattr(instance, "make_stream_state"):
+            # cluster detectors resolve, then refuse incremental use
+            for detector in (name, instance):
+                with pytest.raises(SeriesError, match="incremental"):
+                    engine.stream(store.machine_ids, detector)
+            return
+        states = [engine.stream(store.machine_ids, detector)
+                  for detector in (name, instance)]
+        for state in states:
+            engine.run_incremental(state, store)
+        assert states[0].events() == states[1].events()
+        assert states[0].events() == engine.run(store, instance).events()
 
 
 class TestEnsembleBlock:

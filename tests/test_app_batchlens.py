@@ -59,22 +59,13 @@ class TestQueries:
         assert session.hierarchy is healthy_lens.hierarchy
 
     def test_detect_sweeps_cluster(self, thrashing_lens, thrashing_bundle):
-        events = thrashing_lens.detect("threshold", metric="mem")
+        events = thrashing_lens.pipeline(detectors="threshold",
+                                         metrics=("mem",),
+                                         sinks=()).run().events()
         flagged = {e.subject for e in events}
         truth = set(thrashing_bundle.meta["thrashing"]["machines"])
         assert truth & flagged
         assert all(e.kind == "threshold" and e.metric == "mem" for e in events)
-
-    def test_detect_window_filters_instead_of_slicing(self, thrashing_lens,
-                                                      thrashing_bundle):
-        # window filters the full-sweep events by overlap (scoring
-        # semantics) — it must not re-run detection on a slice, where
-        # stateful warm-ups would restart
-        t0, t1 = thrashing_bundle.meta["thrashing"]["window"]
-        full = thrashing_lens.detect("zscore", metric="mem")
-        windowed = thrashing_lens.detect("zscore", metric="mem",
-                                         window=(t0, t1))
-        assert windowed == [e for e in full if e.overlaps(t0, t1)]
 
 
 class TestCharts:

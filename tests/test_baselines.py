@@ -24,7 +24,8 @@ class TestThresholdMonitor:
     def test_alerts_on_hot_machine_only(self):
         monitor = ThresholdMonitor(cpu_threshold=90, mem_threshold=90,
                                    disk_threshold=90)
-        alerts = monitor.scan(store_with_hot_machine())
+        alerts = monitor.ingest(
+            monitor.scan_pipeline(store_with_hot_machine()).run())
         assert alerts
         assert {a.machine_id for a in alerts} == {"hot"}
         metrics = {a.metric for a in alerts}
@@ -32,13 +33,13 @@ class TestThresholdMonitor:
 
     def test_alerted_machines_window_filter(self):
         monitor = ThresholdMonitor()
-        monitor.scan(store_with_hot_machine())
+        monitor.ingest(monitor.scan_pipeline(store_with_hot_machine()).run())
         assert monitor.alerted_machines((0, 200)) == {"hot"}  # mem alert spans all
         assert "hot" in monitor.alerted_machines()
 
     def test_precision_recall(self):
         monitor = ThresholdMonitor()
-        monitor.scan(store_with_hot_machine())
+        monitor.ingest(monitor.scan_pipeline(store_with_hot_machine()).run())
         precision, recall = monitor.precision_recall({"hot"})
         assert precision == 1.0
         assert recall == 1.0
@@ -50,19 +51,19 @@ class TestThresholdMonitor:
         monitor = ThresholdMonitor(cpu_threshold=99.9, mem_threshold=99.9,
                                    disk_threshold=99.9)
         store = MetricStore(["a"], np.array([0.0]))
-        monitor.scan(store)
+        monitor.ingest(monitor.scan_pipeline(store).run())
         assert monitor.precision_recall(set()) == (0.0, 1.0)
 
     def test_to_events(self):
         monitor = ThresholdMonitor()
-        monitor.scan(store_with_hot_machine())
+        monitor.ingest(monitor.scan_pipeline(store_with_hot_machine()).run())
         events = monitor.to_events()
         assert len(events) == len(monitor.alerts)
         assert all(e.kind == "threshold-alert" for e in events)
 
     def test_detects_thrashing_scenario_machines(self, thrashing_bundle):
         monitor = ThresholdMonitor(mem_threshold=90.0)
-        monitor.scan(thrashing_bundle.usage)
+        monitor.ingest(monitor.scan_pipeline(thrashing_bundle.usage).run())
         injected = set(thrashing_bundle.meta["thrashing"]["machines"])
         _, recall = monitor.precision_recall(
             injected, window=tuple(thrashing_bundle.meta["thrashing"]["window"]))

@@ -134,7 +134,7 @@ class TestBatchLensVsBaselines:
 
     def test_baseline_alerts_but_cannot_attribute(self, thrashing_bundle):
         monitor = ThresholdMonitor(mem_threshold=90.0)
-        monitor.scan(thrashing_bundle.usage)
+        monitor.ingest(monitor.scan_pipeline(thrashing_bundle.usage).run())
         alerted = monitor.alerted_machines()
         assert alerted, "the baseline does notice the saturated machines"
 

@@ -26,6 +26,7 @@ from repro.pipeline import (
     resolve_detectors,
     sink_names,
 )
+from repro.pipeline.spec import MAX_WINDOW_SAMPLES
 from repro.stream.monitor import MonitorConfig, OnlineMonitor
 
 
@@ -86,6 +87,8 @@ class TestDetectorRegistry:
             == spec
 
     def test_register_custom_detector(self):
+        from repro.analysis.engine import DetectionEngine
+
         class Spiky(ThresholdDetector):
             kind = "spiky"
 
@@ -94,6 +97,15 @@ class TestDetectorRegistry:
             assert "spiky" in detector_names()
             (_, instance), = resolve_detectors("spiky(threshold=50)")
             assert isinstance(instance, Spiky)
+            # the engine resolves the registered name too, batch and stream
+            store = make_store()
+            engine = DetectionEngine(detectors={})
+            expected = engine.run(store, Spiky()).events()
+            assert expected and {e.kind for e in expected} == {"spiky"}
+            assert engine.run(store, "spiky").events() == expected
+            state = engine.stream(store.machine_ids, "spiky")
+            engine.run_incremental(state, store)
+            assert state.events() == expected
         finally:
             from repro.pipeline import detectors as registry_module
 
@@ -157,6 +169,18 @@ class TestSpecs:
                                   "config": {"num_machines": "lots"}})
         with pytest.raises(PipelineError, match="window_samples"):
             StreamingOptions.from_dict({"window_samples": "many"})
+
+    @pytest.mark.parametrize("window", [2, 3, MAX_WINDOW_SAMPLES - 1,
+                                        MAX_WINDOW_SAMPLES])
+    def test_window_samples_inside_bounds(self, window):
+        options = StreamingOptions.from_dict({"window_samples": window})
+        assert options.window_samples == window
+
+    @pytest.mark.parametrize("window", [0, 1, MAX_WINDOW_SAMPLES + 1, 10**9])
+    def test_window_samples_outside_bounds(self, window):
+        with pytest.raises(PipelineError,
+                           match="window_samples must be between 2 and 65536"):
+            StreamingOptions.from_dict({"window_samples": window})
 
     def test_sinks_accept_a_bare_string(self):
         pipeline = Pipeline.from_spec({
@@ -490,26 +514,3 @@ class TestSinks:
             from repro.pipeline import sinks as sinks_module
 
             del sinks_module._SINKS["count"]
-
-
-class TestShims:
-    def test_batchlens_detect_is_deprecated_but_identical(self, hotjob_bundle):
-        from repro.analysis.engine import default_engine
-        from repro.app.batchlens import BatchLens
-
-        lens = BatchLens.from_bundle(hotjob_bundle)
-        with pytest.warns(DeprecationWarning, match="pipeline"):
-            events = lens.detect("zscore", metric="mem")
-        assert events == default_engine().run(lens.store, "zscore",
-                                              metric="mem").events()
-
-    def test_threshold_monitor_scan_is_deprecated_but_identical(self):
-        from repro.baselines.threshold_monitor import ThresholdMonitor
-
-        store = make_store()
-        deprecated = ThresholdMonitor(cpu_threshold=92.0)
-        with pytest.warns(DeprecationWarning, match="pipeline"):
-            old_alerts = deprecated.scan(store)
-        fresh = ThresholdMonitor(cpu_threshold=92.0)
-        new_alerts = fresh.ingest(fresh.scan_pipeline(store).run())
-        assert old_alerts == new_alerts

@@ -43,7 +43,8 @@ class TestSpecParsing:
         assert part.kwargs == {"relaunch": False, "mem_ceiling": 92.5}
 
     @pytest.mark.parametrize("bad", ["", "a++b", "name(", "x(noequals)",
-                                     "x(1bad=2)"])
+                                     "x(1bad=2)", "x(a=nan)", "x(a=inf)",
+                                     "x(a=-Infinity)", "x(a=1e999)"])
     def test_malformed_specs_rejected(self, bad):
         with pytest.raises(SimulationError):
             parse_scenario_spec(bad)

@@ -287,6 +287,55 @@ class TestServerStateDir:
             "an unsafe tenant id damaged other tenants' durable state"
 
 
+class TestRejectedCreate:
+    """A ``POST /tenants`` answered 400 writes nothing to the state dir."""
+
+    BAD_SPECS = {
+        "nan-threshold": {"streaming": {"threshold": float("nan")}},
+        "negative-threshold": {"streaming": {"threshold": -5}},
+        "window-too-small": {"streaming": {"window_samples": 1}},
+        "window-too-large": {"streaming": {"window_samples": 65_537}},
+        "nan-detector-param": {"detectors": "zscore(window=nan)"},
+    }
+
+    def post_tenant(self, server, spec: dict) -> tuple[int, dict]:
+        import http.client
+
+        conn = http.client.HTTPConnection(server.host, server.port, timeout=5)
+        try:
+            conn.request("POST", "/tenants", body=json.dumps(spec).encode(),
+                         headers={"Content-Type": "application/json"})
+            response = conn.getresponse()
+            return response.status, json.loads(response.read())
+        finally:
+            conn.close()
+
+    @pytest.mark.parametrize("case", sorted(BAD_SPECS))
+    def test_rejected_spec_leaves_nothing_behind(self, tmp_path, case):
+        from repro.serve import DetectionServer
+
+        state = tmp_path / "state"
+        spec = {"id": "x0", "machines": ["a", "b"], **self.BAD_SPECS[case]}
+        with DetectionServer(port=0, state_dir=state) as server:
+            status, body = self.post_tenant(server, spec)
+            assert status == 400, body
+            assert list((state / "tenants").iterdir()) == []
+        with DetectionServer(port=0, state_dir=state) as server:
+            assert server.recovered == []
+            assert server.registry.skipped == []
+
+    @pytest.mark.parametrize("window", [2, 65_536])
+    def test_window_bounds_are_accepted(self, tmp_path, window):
+        from repro.serve import DetectionServer
+
+        spec = {"id": "x0", "machines": ["a", "b"],
+                "streaming": {"window_samples": window}}
+        with DetectionServer(port=0, state_dir=tmp_path) as server:
+            status, body = self.post_tenant(server, spec)
+            assert status == 201, body
+            assert (tmp_path / "tenants" / "x0" / "spec.json").exists()
+
+
 class TestIngestRollback:
     """The WAL invariant: journal == applied batches, unique seqs.
 

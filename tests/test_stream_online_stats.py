@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SeriesError
-from repro.stream.online_stats import OnlineEwma, OnlineZScore, P2Quantile, RunningStats
+from repro.stream.online_stats import P2Quantile, RunningStats
 
 
 class TestRunningStats:
@@ -83,36 +83,6 @@ class TestRunningStats:
         assert merged.variance == pytest.approx(merged_reverse.variance, abs=1e-6)
 
 
-class TestOnlineEwma:
-    def test_converges_to_constant_level(self):
-        ewma = OnlineEwma(alpha=0.4)
-        for _ in range(50):
-            ewma.update(70.0)
-        assert ewma.mean == pytest.approx(70.0)
-        assert ewma.deviation == pytest.approx(0.0, abs=1e-6)
-
-    def test_first_sample_initialises(self):
-        ewma = OnlineEwma()
-        assert ewma.update(50.0) == 0.0
-        assert ewma.mean == 50.0
-
-    def test_spike_is_anomalous(self):
-        ewma = OnlineEwma(alpha=0.3)
-        for _ in range(30):
-            ewma.update(30.0)
-        assert ewma.is_anomalous(95.0)
-        assert not ewma.is_anomalous(31.0)
-
-    def test_not_anomalous_before_initialisation(self):
-        assert not OnlineEwma().is_anomalous(100.0)
-
-    def test_invalid_alpha(self):
-        with pytest.raises(SeriesError):
-            OnlineEwma(alpha=0.0)
-        with pytest.raises(SeriesError):
-            OnlineEwma(alpha=1.5)
-
-
 class TestP2Quantile:
     def test_median_of_uniform_stream(self):
         rng = np.random.default_rng(7)
@@ -156,30 +126,6 @@ class TestP2Quantile:
         assert min(values) - 1e-9 <= estimator.value <= max(values) + 1e-9
 
 
-class TestOnlineZScore:
-    def test_stable_stream_has_low_scores(self):
-        scorer = OnlineZScore()
-        scores = [scorer.update(40.0) for _ in range(30)]
-        assert max(abs(s) for s in scores) < 0.5
-
-    def test_spike_scores_high(self):
-        scorer = OnlineZScore()
-        for _ in range(30):
-            scorer.update(40.0)
-        assert scorer.update(95.0) > 3.0
-
-    def test_invalid_min_std(self):
-        with pytest.raises(SeriesError):
-            OnlineZScore(min_std=0.0)
-
-    def test_counts_track_samples(self):
-        scorer = OnlineZScore()
-        for value in (1.0, 2.0, 3.0):
-            scorer.update(value)
-        assert scorer.count == 3
-        assert scorer.mean == pytest.approx(2.0)
-
-
 class TestBulkUpdates:
     """The vectorized bulk paths agree with the scalar folding loops."""
 
@@ -212,30 +158,6 @@ class TestBulkUpdates:
         stats.update_many(float(x) for x in (4.0, 5.0))
         assert stats.count == 5
         assert stats.mean == pytest.approx(3.0)
-
-    @given(st.lists(st.floats(min_value=0.0, max_value=100.0),
-                    min_size=1, max_size=250),
-           st.floats(min_value=0.05, max_value=1.0))
-    @settings(max_examples=60, deadline=None)
-    def test_ewma_bulk_matches_scalar_loop(self, values, alpha):
-        scalar = OnlineEwma(alpha=alpha)
-        scalar_residuals = [scalar.update(value) for value in values]
-        bulk = OnlineEwma(alpha=alpha)
-        split = len(values) // 2
-        residuals = list(bulk.update_many(values[:split]))
-        residuals.extend(bulk.update_many(values[split:]))
-        assert bulk.mean == pytest.approx(scalar.mean, rel=1e-8, abs=1e-8)
-        assert bulk.deviation == pytest.approx(scalar.deviation,
-                                               rel=1e-8, abs=1e-8)
-        assert residuals == pytest.approx(scalar_residuals,
-                                          rel=1e-8, abs=1e-8)
-
-    def test_ewma_bulk_empty_and_single(self):
-        ewma = OnlineEwma(alpha=0.3)
-        assert ewma.update_many([]).size == 0
-        residuals = ewma.update_many([42.0])
-        assert residuals.tolist() == [0.0]
-        assert ewma.mean == 42.0
 
     def test_p2_bulk_matches_scalar_loop(self):
         rng = np.random.default_rng(5)
