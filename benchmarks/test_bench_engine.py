@@ -10,7 +10,10 @@ This benchmark pins the claim on a 256-machine cluster:
   with identical events;
 * ``repro.scenarios.score_bundle`` — now engine-backed — must produce
   bit-identical precision/recall to the legacy per-series runner loops it
-  replaced.
+  replaced;
+* the spike runner — one block-kernel pass over the CPU block — must flag
+  the same machines as the per-series peak walk on a hot-job trace, at
+  least 5x faster.
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ import numpy as np
 from repro.analysis.detectors import EwmaDetector, FlatlineDetector
 from repro.analysis.engine import DetectionEngine
 from repro.analysis.ensemble import evaluate_machine_sets
-from repro.scenarios.scoring import score_bundle
+from repro.scenarios.groundtruth import manifest_from_meta
+from repro.scenarios.scoring import score_bundle, score_entry
 from repro.trace.synthetic import generate_trace
 
 from benchmarks.conftest import (
@@ -91,6 +95,59 @@ def legacy_flag(store, detector, metric, window):
     return flagged
 
 
+def legacy_find_peaks(values):
+    """The pre-kernel peak walk (plateau peaks report their first sample)."""
+    if values.shape[0] < 3:
+        return np.empty(0, dtype=np.int64)
+    peaks = []
+    i = 1
+    n = values.shape[0]
+    while i < n - 1:
+        if values[i] > values[i - 1]:
+            j = i
+            while j < n - 1 and values[j + 1] == values[j]:
+                j += 1
+            if j < n - 1 and values[j + 1] < values[j]:
+                peaks.append(i)
+            i = j + 1
+        else:
+            i += 1
+    return np.asarray(peaks, dtype=np.int64)
+
+
+def legacy_prominences(values, peak_indices):
+    """The pre-kernel prominence walk, outward from every peak."""
+    prominences = np.zeros(peak_indices.shape[0])
+    for out_index, peak in enumerate(peak_indices):
+        peak_value = values[peak]
+        left_min = peak_value
+        for i in range(peak - 1, -1, -1):
+            if values[i] > peak_value:
+                break
+            left_min = min(left_min, values[i])
+        right_min = peak_value
+        for i in range(peak + 1, values.shape[0]):
+            if values[i] > peak_value:
+                break
+            right_min = min(right_min, values[i])
+        prominences[out_index] = peak_value - max(left_min, right_min)
+    return prominences
+
+
+def legacy_spike(store, min_prominence, window):
+    """The pre-kernel spike runner: walk every machine's CPU series."""
+    flagged = set()
+    for machine_id in store.machine_ids:
+        series = store.series(machine_id, "cpu")
+        peaks = legacy_find_peaks(series.values)
+        prominences = legacy_prominences(series.values, peaks)
+        if any(window[0] <= float(series.timestamps[peak]) <= window[1]
+               for peak, prominence in zip(peaks, prominences)
+               if prominence >= min_prominence):
+            flagged.add(machine_id)
+    return flagged
+
+
 def legacy_predicted(bundle, entry):
     """Legacy (pre-rewiring) bodies of the engine-backed scoring runners."""
     store = bundle.usage
@@ -113,6 +170,10 @@ def legacy_predicted(bundle, entry):
                            FlatlineDetector(epsilon=max(1.0, 2.0 * level),
                                             min_samples=2),
                            "mem", (t0, t1))
+    if name == "spike":
+        prominence = max(12.0,
+                         0.5 * float(entry.params.get("peak_boost", 30.0)))
+        return legacy_spike(store, prominence, (t0, t1))
     if name == "outlier":
         windowed = store.window(t0 + 0.1 * (t1 - t0), t1)
         means = {machine_id: float(windowed.series(machine_id, "cpu").mean())
@@ -147,3 +208,39 @@ class TestScoreBundleBitIdentical:
             "bit-identical": True,
         })
         assert compared >= 12
+
+
+class TestSpikeScoring:
+    def test_spike_runner_matches_and_beats_series_loop(self):
+        bundle = generate_trace(bench_config(
+            "hotjob", seed=11, num_machines=NUM_MACHINES,
+            horizon_s=NUM_SAMPLES * 300, resolution_s=300))
+        entries = [entry for entry in manifest_from_meta(bundle.meta)
+                   if entry.detectors[0] == "spike"]
+        assert entries
+        loop_s = block_s = 0.0
+        for entry in entries:
+            entry_loop_s, legacy = best_of(
+                lambda: legacy_predicted(bundle, entry))
+            entry_block_s, scored = best_of(
+                lambda: score_entry(bundle, entry))
+            assert set(scored.predicted) == legacy
+            assert scored.result == evaluate_machine_sets(
+                legacy, set(entry.machines))
+            loop_s += entry_loop_s
+            block_s += entry_block_s
+        speedup = loop_s / block_s
+        record_result("scoring/spike", wall_clock_s=block_s,
+                      throughput=NUM_MACHINES * len(entries) / block_s,
+                      throughput_unit="machine-sweeps/s",
+                      speedup_vs_series_loop=speedup,
+                      num_machines=NUM_MACHINES)
+        report(f"E10: spike scoring, block kernel vs per-series loop "
+               f"({NUM_MACHINES} machines, {NUM_SAMPLES} samples)", {
+                   "entries": len(entries),
+                   "timing": f"loop {loop_s * 1e3:.1f} ms -> block "
+                             f"{block_s * 1e3:.1f} ms ({speedup:.1f}x)",
+               })
+        assert speedup >= MIN_SPEEDUP, (
+            f"spike scoring only {speedup:.1f}x faster (need "
+            f">= {MIN_SPEEDUP}x)")

@@ -284,14 +284,16 @@ def cmd_monitor(args: argparse.Namespace) -> int:
     """
     from repro.pipeline import Pipeline, StreamingOptions
 
-    bundle = _resolve_bundle(args)
+    # Options before the source: a bad --threshold or --window-samples
+    # fails before the trace is loaded or generated.
+    streaming = StreamingOptions(
+        threshold=args.threshold, window_samples=args.window_samples,
+        cadence="sample" if args.chunk is None else "catch-up",
+        chunk=args.chunk)
+    result = Pipeline.from_bundle(_resolve_bundle(args), mode="streaming",
+                                  plans=(), sinks=(),
+                                  streaming=streaming).run()
     if args.chunk is not None:
-        result = Pipeline.from_bundle(
-            bundle, mode="streaming", plans=(), sinks=(),
-            streaming=StreamingOptions(threshold=args.threshold,
-                                       window_samples=args.window_samples,
-                                       cadence="catch-up",
-                                       chunk=args.chunk)).run()
         print(f"folded {result.num_samples} samples through the incremental "
               f"monitor ({args.chunk} per chunk)")
         monitor = result.monitor
@@ -305,11 +307,6 @@ def cmd_monitor(args: argparse.Namespace) -> int:
         else:
             print("no alerts raised")
         return 0
-    result = Pipeline.from_bundle(
-        bundle, mode="streaming", plans=(), sinks=(),
-        streaming=StreamingOptions(threshold=args.threshold,
-                                   window_samples=args.window_samples,
-                                   cadence="sample")).run()
     report, manager = result.replay, result.alert_manager
     if report is None:
         print("trace carries no samples to replay")

@@ -60,6 +60,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Mapping
 
 from repro.errors import PipelineError
+from repro.stream.monitor import check_utilisation_threshold
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.metrics.store import MetricStore
@@ -243,6 +244,8 @@ class StreamingOptions:
             raise PipelineError(
                 f"unknown streaming cadence {self.cadence!r}; expected one "
                 f"of {list(CADENCES)}")
+        check_utilisation_threshold(self.threshold, name="streaming.threshold",
+                                    error=PipelineError)
         if not 2 <= self.window_samples <= MAX_WINDOW_SAMPLES:
             raise PipelineError(
                 f"streaming.window_samples must be between 2 and "

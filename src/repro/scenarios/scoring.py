@@ -16,6 +16,11 @@ through a single-plan batch :class:`~repro.pipeline.Pipeline` (which runs
 the vectorized :class:`~repro.analysis.engine.DetectionEngine`) instead of
 looping ``store.series`` machine by machine; the flagged-machine sets are
 identical to the legacy loop (every surface shares one numerical path).
+The spike runner is block-level too: one
+:func:`~repro.analysis.spikes.block_peaks` pass over the CPU block, then
+:func:`~repro.analysis.spikes.block_prominences` for the in-window peaks
+only — bit-identical to per-machine
+:func:`~repro.analysis.spikes.detect_spikes` calls.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ import numpy as np
 from repro.analysis.detectors import EwmaDetector, FlatlineDetector, ThresholdDetector
 from repro.analysis.ensemble import EvaluationResult, evaluate_events, evaluate_machine_sets
 from repro.analysis.sla import SlaPolicy, cluster_sla_report
-from repro.analysis.spikes import detect_spikes
+from repro.analysis.spikes import block_peaks, block_prominences
 from repro.analysis.thrashing import ThrashingConfig, cluster_thrashing_report
 from repro.errors import SimulationError
 from repro.scenarios.groundtruth import GroundTruthEntry, GroundTruthManifest, manifest_from_meta
@@ -101,12 +106,16 @@ def _run_spike(bundle: TraceBundle, entry: GroundTruthEntry) -> ScoredEntry:
     store = bundle.usage
     t0, t1 = _window_of(entry, bundle)
     prominence = max(12.0, 0.5 * float(entry.params.get("peak_boost", 30.0)))
-    predicted: set[str] = set()
-    for machine_id in store.machine_ids:
-        spikes = detect_spikes(store.series(machine_id, "cpu"),
-                               min_prominence=prominence, subject=machine_id)
-        if any(t0 <= spike.timestamp <= t1 for spike in spikes):
-            predicted.add(machine_id)
+    # One kernel pass over the block; only in-window peaks pay for their
+    # prominence.
+    block = store.metric_block("cpu")
+    rows, cols = block_peaks(block)
+    at = store.timestamps[cols]
+    inside = (at >= t0) & (at <= t1)
+    rows, cols = rows[inside], cols[inside]
+    spiking = rows[block_prominences(block, rows, cols) >= prominence]
+    machine_ids = store.machine_ids
+    predicted = {machine_ids[row] for row in np.unique(spiking).tolist()}
     return _score_machines(entry, predicted, "spike")
 
 

@@ -72,6 +72,19 @@ class MonitorAlert:
                 f"malformed monitor-alert dict {raw!r}: {exc}") from None
 
 
+def check_utilisation_threshold(threshold: float, *,
+                                name: str = "utilisation_threshold",
+                                error: type[Exception] = SeriesError) -> None:
+    """The one rule for an alerting threshold: a percentage in (0, 100].
+
+    NaN fails the chained comparison, so it is rejected too.  Callers
+    that validate the same value earlier (pipeline specs) pass their own
+    field ``name`` and ``error`` type.
+    """
+    if not 0.0 < threshold <= 100.0:
+        raise error(f"{name} must be in (0, 100], got {threshold!r}")
+
+
 @dataclass
 class MonitorConfig:
     """Tunable thresholds of the online monitor."""
@@ -90,8 +103,7 @@ class MonitorConfig:
     thrashing_clear_scans: int = 3
 
     def validate(self) -> None:
-        if not 0.0 < self.utilisation_threshold <= 100.0:
-            raise SeriesError("utilisation_threshold must be in (0, 100]")
+        check_utilisation_threshold(self.utilisation_threshold)
         if self.thrashing_scan_every < 1:
             raise SeriesError("thrashing_scan_every must be >= 1")
         if self.thrashing_clear_scans < 1:

@@ -254,6 +254,13 @@ class TestCleanErrors:
         assert main(["monitor", "--synthetic", "--scenario", "wormhole"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "0", "-5", "1e9"])
+    def test_monitor_bad_threshold_fails_before_loading(self, tmp_path,
+                                                        capsys, threshold):
+        missing = tmp_path / "no-such-trace"
+        assert main(["monitor", str(missing), f"--threshold={threshold}"]) == 2
+        assert "streaming.threshold" in capsys.readouterr().err
+
 
 class TestScenariosListsDetectorsAndSinks:
     def test_scenarios_lists_pipeline_registries(self, capsys):

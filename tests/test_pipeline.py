@@ -182,6 +182,28 @@ class TestSpecs:
                            match="window_samples must be between 2 and 65536"):
             StreamingOptions.from_dict({"window_samples": window})
 
+    @pytest.mark.parametrize("threshold", [0.5, 100])
+    def test_threshold_inside_bounds(self, threshold):
+        options = StreamingOptions.from_dict({"threshold": threshold})
+        assert options.threshold == threshold
+
+    @pytest.mark.parametrize("threshold", ["nan", float("nan"), float("inf"),
+                                           0, -5, 100.5, 1e9])
+    def test_threshold_outside_bounds(self, threshold):
+        with pytest.raises(PipelineError,
+                           match=r"streaming.threshold must be in \(0, 100\]"):
+            StreamingOptions.from_dict({"threshold": threshold})
+
+    def test_bad_threshold_fails_before_the_source(self, tmp_path):
+        spec = {"source": {"kind": "trace-dir",
+                           "path": str(tmp_path / "no-such-trace")},
+                "mode": "streaming", "sinks": []}
+        # The missing directory is only noticed when a run resolves it ...
+        Pipeline.from_spec({**spec, "streaming": {"threshold": 85}})
+        # ... so this error comes from parsing the spec alone.
+        with pytest.raises(PipelineError, match="streaming.threshold"):
+            Pipeline.from_spec({**spec, "streaming": {"threshold": "nan"}})
+
     def test_sinks_accept_a_bare_string(self):
         pipeline = Pipeline.from_spec({
             "source": {"kind": "synthetic", "scenario": "healthy"},
