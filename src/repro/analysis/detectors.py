@@ -341,10 +341,6 @@ def mask_to_events(timestamps: np.ndarray, mask: np.ndarray, scores: np.ndarray,
     return block.events(subjects=(subject,), metric=metric, kind=kind)
 
 
-#: Backwards-compatible alias (pre-engine internal name).
-_mask_to_events = mask_to_events
-
-
 class ThresholdDetector(BlockDetector):
     """Flags samples exceeding a static utilisation threshold."""
 

@@ -555,6 +555,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
         if args.state_dir is not None:
             print(f"recovered {len(server.recovered)} tenant(s) from "
                   f"{args.state_dir}", flush=True)
+            if server.registry.skipped:
+                print(f"skipped unrecoverable tenant(s): "
+                      f"{', '.join(server.registry.skipped)}", flush=True)
         print(f"serving on {server.host}:{server.port} "
               f"(backend={args.backend}, max_tenants={args.max_tenants})",
               flush=True)

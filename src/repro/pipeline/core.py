@@ -61,6 +61,7 @@ from repro.pipeline.spec import (
     SourceSpec,
     StreamingOptions,
     normalise_sinks,
+    reject_unknown_keys,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -294,13 +295,9 @@ class Pipeline:
         if not isinstance(spec, Mapping):
             raise PipelineError(
                 f"pipeline spec must be a mapping or string, got {spec!r}")
-        known = {"source", "mode", "detectors", "metrics", "sinks",
-                 "streaming", "execution", "result_cache"}
-        unknown = set(spec) - known
-        if unknown:
-            raise PipelineError(
-                f"unknown pipeline spec key(s) {sorted(unknown)}; expected "
-                f"{sorted(known)}")
+        reject_unknown_keys(spec, {"source", "mode", "detectors", "metrics",
+                                   "sinks", "streaming", "execution",
+                                   "result_cache"}, "pipeline spec key")
         if "source" not in spec:
             raise PipelineError("pipeline spec needs a 'source'")
         source = spec["source"]

@@ -32,12 +32,11 @@ What goes into a key (:func:`run_key`), and what deliberately does not:
 * **not** the sink list — sinks re-derive their outputs from the
   restored result on every hit (and are never cached).
 
-Durability discipline mirrors :mod:`repro.trace.cache` exactly: entries
-are written atomically (unique temp file + ``os.replace``), every load
-failure — truncated file, bad zip, shape mismatch, wrong version, wrong
-key — reads as *absent* and the run recomputes, and writes are
-best-effort (a read-only cache directory never breaks a run that already
-succeeded).  Caching never changes results; the golden suite pins cached
+Entries commit and read by :mod:`repro.storage`'s rules: an atomic,
+best-effort write (a read-only cache directory never breaks a run that
+already succeeded), and any defect — truncation, zip damage, a shape
+mismatch, a wrong version or key — reads as *absent*, so the run
+recomputes.  Caching never changes results; the golden suite pins cached
 == uncached bit-identical across every detector × scenario × backend.
 
 ``ResultCache.stats()`` and ``ResultCache.prune(max_bytes)`` back the
@@ -51,13 +50,13 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.errors import PipelineError
+from repro.storage import load_npz, save_npz
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.pipeline.core import RunResult
@@ -154,49 +153,43 @@ class ResultCache:
 
         path = self.entry_path(key)
         try:
-            with np.load(path, allow_pickle=False) as data:
-                header = json.loads(str(data["__header__"][()]))
-                if (header.get("version") != RESULT_CACHE_VERSION
-                        or header.get("key") != key
-                        or header.get("mode") != "batch"):
-                    return None
-                detections = []
-                for i, det in enumerate(header["detections"]):
-                    arrays = {name: data[f"d{i}:{name}"]
-                              for name in _BLOCK_FIELDS}
-                    _check_block_shapes(arrays)
-                    machine_ids = tuple(data[f"d{i}:machine_ids"].tolist())
-                    if len(machine_ids) != arrays["mask"].shape[0]:
-                        raise ValueError("machine_ids/mask row mismatch")
-                    engine_result = EngineResult(
-                        detector=str(det["detector"]),
-                        metric=str(det["result_metric"]),
-                        machine_ids=machine_ids,
-                        block=BlockDetection(**arrays))
-                    detections.append(DetectorRun(
-                        label=str(det["label"]), name=str(det["name"]),
-                        metric=str(det["metric"]), result=engine_result))
-                scores: tuple = ()
-                if header.get("scored"):
-                    from repro.scenarios.scoring import ScoredEntry
+            header, data = load_npz(path)
+            if (header.get("version") != RESULT_CACHE_VERSION
+                    or header.get("key") != key
+                    or header.get("mode") != "batch"):
+                return None
+            detections = []
+            for i, det in enumerate(header["detections"]):
+                arrays = {name: data[f"d{i}:{name}"]
+                          for name in _BLOCK_FIELDS}
+                _check_block_shapes(arrays)
+                machine_ids = tuple(data[f"d{i}:machine_ids"].tolist())
+                if len(machine_ids) != arrays["mask"].shape[0]:
+                    raise ValueError("machine_ids/mask row mismatch")
+                engine_result = EngineResult(
+                    detector=str(det["detector"]),
+                    metric=str(det["result_metric"]),
+                    machine_ids=machine_ids,
+                    block=BlockDetection(**arrays))
+                detections.append(DetectorRun(
+                    label=str(det["label"]), name=str(det["name"]),
+                    metric=str(det["metric"]), result=engine_result))
+            scores: tuple = ()
+            if header.get("scored"):
+                from repro.scenarios.scoring import ScoredEntry
 
-                    scores = tuple(ScoredEntry.from_dict(row)
-                                   for row in header["scores"])
-                result = RunResult(
-                    mode="batch",
-                    metrics=tuple(str(m) for m in header["metrics"]),
-                    machine_ids=tuple(data["machine_ids"].tolist()),
-                    num_samples=int(header["num_samples"]),
-                    detections=tuple(detections),
-                    scores=scores)
+                scores = tuple(ScoredEntry.from_dict(row)
+                               for row in header["scores"])
+            result = RunResult(
+                mode="batch",
+                metrics=tuple(str(m) for m in header["metrics"]),
+                machine_ids=tuple(data["machine_ids"].tolist()),
+                num_samples=int(header["num_samples"]),
+                detections=tuple(detections),
+                scores=scores)
         except Exception:
-            # Torn writes, truncation, zip damage, shape lies, malformed
-            # score rows — all read as a miss; the run recomputes and the
-            # entry is rewritten whole.  A flipped byte can surface almost
-            # anything from np.load's parsers (EOFError, SyntaxError via
-            # the npy header's literal_eval, UnicodeDecodeError, zlib
-            # errors...), so the whole deserialisation is the guard, not
-            # an exception whitelist.
+            # Torn writes, zip damage, shape lies, malformed score rows:
+            # all read as a miss, and the run recomputes and rewrites.
             return None
         try:
             # Mark the hit for LRU pruning: np.load's read may not touch
@@ -221,7 +214,6 @@ class ResultCache:
         if result.mode != "batch":
             return None
         path = self.entry_path(key)
-        tmp: Path | None = None
         try:
             detections_meta = []
             arrays: dict[str, np.ndarray] = {
@@ -241,7 +233,7 @@ class ResultCache:
                         getattr(block, name))
                 arrays[f"d{i}:machine_ids"] = np.asarray(
                     list(run.result.machine_ids), dtype=np.str_)
-            header = json.dumps({
+            header = {
                 "version": RESULT_CACHE_VERSION,
                 "key": key,
                 "mode": result.mode,
@@ -251,23 +243,11 @@ class ResultCache:
                 "scores": ([entry.to_dict() for entry in result.scores]
                            if scored else None),
                 "detections": detections_meta,
-            })
+            }
             self.directory.mkdir(parents=True, exist_ok=True)
-            fd, tmp_name = tempfile.mkstemp(dir=self.directory,
-                                            prefix=path.name + ".",
-                                            suffix=".tmp")
-            tmp = Path(tmp_name)
-            with os.fdopen(fd, "wb") as handle:
-                np.savez(handle, __header__=np.asarray(header), **arrays)
-            os.replace(tmp, path)
-            tmp = None
+            save_npz(path, header, arrays)
         except (OSError, OverflowError, TypeError, ValueError,
                 AttributeError):
-            try:
-                if tmp is not None:
-                    tmp.unlink(missing_ok=True)
-            except OSError:
-                pass
             return None
         return path
 

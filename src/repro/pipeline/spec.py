@@ -97,9 +97,30 @@ def _as_float(value, field_name: str) -> float:
         raise PipelineError(
             f"{field_name} must be a number, got {value!r}") from None
 
+
+def _as_bool(value, field_name: str) -> bool:
+    """Only JSON ``true``/``false``: ``bool("false")`` is ``True``."""
+    if not isinstance(value, bool):
+        raise PipelineError(
+            f"{field_name} must be true or false, got {value!r}")
+    return value
+
+
+def reject_unknown_keys(raw: Mapping, known: set, what: str) -> None:
+    """A spec key outside ``known`` is an error, never silently ignored."""
+    unknown = set(raw) - known
+    if unknown:
+        raise PipelineError(f"unknown {what}(s) {sorted(unknown)}; expected "
+                            f"{sorted(known)}")
+
 #: ``config`` keys a synthetic source accepts, mapped onto
 #: :class:`~repro.config.TraceConfig` when the trace is generated.
 SYNTHETIC_CONFIG_KEYS = ("num_machines", "num_jobs", "horizon_s", "resolution_s")
+#: The keys each serialisable source kind accepts in a spec.
+_SOURCE_KEYS = {
+    "trace-dir": {"kind", "path", "cache", "mmap", "storage"},
+    "synthetic": {"kind", "scenario", "seed", "paper_scale", "config"},
+}
 
 
 @dataclass(frozen=True)
@@ -190,28 +211,31 @@ class SourceSpec:
         if not isinstance(raw, Mapping):
             raise PipelineError(f"source spec must be a mapping, got {raw!r}")
         kind = raw.get("kind")
+        known = _SOURCE_KEYS.get(kind) if isinstance(kind, str) else None
+        if known is None:
+            raise PipelineError(
+                f"unknown source kind {kind!r}; a spec accepts one of "
+                f"{sorted(_SOURCE_KEYS)}")
+        reject_unknown_keys(raw, known, f"{kind} source key")
         if kind == "trace-dir":
             return cls(kind="trace-dir", path=str(raw.get("path", "")) or None,
-                       cache=bool(raw.get("cache", False)),
-                       mmap=bool(raw.get("mmap", False)),
+                       cache=_as_bool(raw.get("cache", False), "source.cache"),
+                       mmap=_as_bool(raw.get("mmap", False), "source.mmap"),
                        storage=str(raw.get("storage", "float64")))
-        if kind == "synthetic":
-            config = raw.get("config", {})
-            if not isinstance(config, Mapping):
-                raise PipelineError(
-                    f"synthetic source 'config' must be a mapping, got "
-                    f"{config!r}")
-            seed = raw.get("seed")
-            return cls(kind="synthetic",
-                       scenario=raw.get("scenario"),
-                       seed=None if seed is None else _as_int(seed, "seed"),
-                       paper_scale=bool(raw.get("paper_scale", False)),
-                       config=tuple(sorted(
-                           (str(k), _as_int(v, f"config.{k}"))
-                           for k, v in config.items())))
-        raise PipelineError(
-            f"unknown source kind {kind!r}; a spec accepts one of "
-            f"['trace-dir', 'synthetic']")
+        config = raw.get("config", {})
+        if not isinstance(config, Mapping):
+            raise PipelineError(
+                f"synthetic source 'config' must be a mapping, got "
+                f"{config!r}")
+        seed = raw.get("seed")
+        return cls(kind="synthetic",
+                   scenario=raw.get("scenario"),
+                   seed=None if seed is None else _as_int(seed, "seed"),
+                   paper_scale=_as_bool(raw.get("paper_scale", False),
+                                        "source.paper_scale"),
+                   config=tuple(sorted(
+                       (str(k), _as_int(v, f"config.{k}"))
+                       for k, v in config.items())))
 
     @classmethod
     def from_shorthand(cls, text: str) -> "SourceSpec":
@@ -272,12 +296,8 @@ class StreamingOptions:
         if not isinstance(raw, Mapping):
             raise PipelineError(
                 f"streaming options must be a mapping, got {raw!r}")
-        known = {"threshold", "window_samples", "cadence", "chunk"}
-        unknown = set(raw) - known
-        if unknown:
-            raise PipelineError(
-                f"unknown streaming option(s) {sorted(unknown)}; expected "
-                f"{sorted(known)}")
+        reject_unknown_keys(raw, {"threshold", "window_samples", "cadence",
+                                  "chunk"}, "streaming option")
         chunk = raw.get("chunk")
         return cls(threshold=_as_float(raw.get("threshold", 92.0),
                                        "streaming.threshold"),
@@ -357,12 +377,8 @@ class ExecutionOptions:
         if not isinstance(raw, Mapping):
             raise PipelineError(
                 f"execution options must be a mapping, got {raw!r}")
-        known = {"backend", "shards", "workers"}
-        unknown = set(raw) - known
-        if unknown:
-            raise PipelineError(
-                f"unknown execution option(s) {sorted(unknown)}; expected "
-                f"{sorted(known)}")
+        reject_unknown_keys(raw, {"backend", "shards", "workers"},
+                            "execution option")
         shards = raw.get("shards")
         workers = raw.get("workers")
         backend = raw.get("backend")
@@ -407,16 +423,12 @@ class ResultCacheOptions:
         if not isinstance(raw, Mapping):
             raise PipelineError(
                 f"result_cache options must be a mapping, got {raw!r}")
-        known = {"dir", "enabled"}
-        unknown = set(raw) - known
-        if unknown:
-            raise PipelineError(
-                f"unknown result_cache option(s) {sorted(unknown)}; "
-                f"expected {sorted(known)}")
+        reject_unknown_keys(raw, {"dir", "enabled"}, "result_cache option")
         if "dir" not in raw:
             raise PipelineError("result_cache needs a 'dir'")
         return cls(dir=str(raw["dir"]),
-                   enabled=bool(raw.get("enabled", True)))
+                   enabled=_as_bool(raw.get("enabled", True),
+                                    "result_cache.enabled"))
 
 
 @dataclass(frozen=True)

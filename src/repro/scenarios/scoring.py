@@ -11,10 +11,11 @@ and the number says which.
 Detector runners are looked up by the entry's first ``detectors`` name; new
 injectors can ship their own runner via :func:`register_runner`.
 
-Mask-based runners (flatline, disk-burst, drain) sweep the whole cluster
-through a single-plan batch :class:`~repro.pipeline.Pipeline` (which runs
-the vectorized :class:`~repro.analysis.engine.DetectionEngine`) instead of
-looping ``store.series`` machine by machine; the flagged-machine sets are
+Mask-based runners (flatline, disk-burst, drain, sync_break, imbalance)
+sweep the whole cluster in one
+:class:`~repro.analysis.engine.DetectionEngine` pass
+(:func:`~repro.analysis.ensemble.flag_machines`) instead of looping
+``store.series`` machine by machine; the flagged-machine sets are
 identical to the legacy loop (every surface shares one numerical path).
 The spike runner is block-level too: one
 :func:`~repro.analysis.spikes.block_peaks` pass over the CPU block, then
@@ -31,7 +32,12 @@ from typing import Callable
 import numpy as np
 
 from repro.analysis.detectors import EwmaDetector, FlatlineDetector, ThresholdDetector
-from repro.analysis.ensemble import EvaluationResult, evaluate_events, evaluate_machine_sets
+from repro.analysis.ensemble import (
+    EvaluationResult,
+    evaluate_events,
+    evaluate_machine_sets,
+    flag_machines,
+)
 from repro.analysis.sla import SlaPolicy, cluster_sla_report
 from repro.analysis.spikes import block_peaks, block_prominences
 from repro.analysis.thrashing import ThrashingConfig, cluster_thrashing_report
@@ -79,25 +85,6 @@ def _score_machines(entry: GroundTruthEntry, predicted: set[str],
     result = evaluate_machine_sets(predicted, set(entry.machines))
     return ScoredEntry(entry=entry, detector=detector,
                        predicted=tuple(sorted(predicted)), result=result)
-
-
-def _flag_machines(bundle: TraceBundle, detector, *, metric: str,
-                   window: tuple[float, float]) -> set[str]:
-    """Machines a detector flags, via a single-plan batch pipeline.
-
-    The full store is swept and the resulting events filtered by ``window``
-    overlap — the engine's ``flag_machines`` semantics, now routed through
-    the same :class:`~repro.pipeline.Pipeline` every other consumer uses.
-    """
-    from repro.analysis.engine import detector_kind
-    from repro.pipeline import DetectorPlan, Pipeline
-
-    kind = detector_kind(detector)
-    plan = DetectorPlan(label=kind, name=kind, metric=metric,
-                        detector=detector)
-    result = Pipeline.from_store(bundle.usage, plans=(plan,),
-                                 metrics=(metric,), sinks=()).run()
-    return result.flagged_machines(window=window)
 
 
 # -- runners ------------------------------------------------------------------
@@ -157,7 +144,8 @@ def _run_flatline(bundle: TraceBundle, entry: GroundTruthEntry) -> ScoredEntry:
     """Machines flatlining at zero inside the truth window."""
     t0, t1 = _window_of(entry, bundle)
     detector = FlatlineDetector(epsilon=0.5, min_samples=3)
-    predicted = _flag_machines(bundle, detector, metric="cpu", window=(t0, t1))
+    predicted = flag_machines(bundle.usage, detector, metric="cpu",
+                              window=(t0, t1))
     return _score_machines(entry, predicted, "flatline")
 
 
@@ -171,8 +159,8 @@ def _run_disk_burst(bundle: TraceBundle, entry: GroundTruthEntry) -> ScoredEntry
     t0, t1 = _window_of(entry, bundle)
     threshold = max(10.0, 0.5 * float(entry.params.get("disk_boost", 45.0)))
     detector = EwmaDetector(alpha=0.3, deviation_threshold=threshold)
-    predicted = _flag_machines(bundle, detector, metric="disk",
-                               window=(t0, t1))
+    predicted = flag_machines(bundle.usage, detector, metric="disk",
+                              window=(t0, t1))
     return _score_machines(entry, predicted, "disk-burst")
 
 
@@ -188,8 +176,8 @@ def _run_drain(bundle: TraceBundle, entry: GroundTruthEntry) -> ScoredEntry:
     t0, t1 = _window_of(entry, bundle)
     level = float(entry.params.get("drained_mem_level", 3.0))
     detector = FlatlineDetector(epsilon=max(1.0, 2.0 * level), min_samples=2)
-    predicted = _flag_machines(bundle, detector, metric="mem",
-                               window=(t0, t1))
+    predicted = flag_machines(bundle.usage, detector, metric="mem",
+                              window=(t0, t1))
     return _score_machines(entry, predicted, "drain")
 
 
@@ -263,7 +251,8 @@ def _run_sync_break(bundle: TraceBundle, entry: GroundTruthEntry) -> ScoredEntry
         window=int(entry.params.get("window", 8)),
         break_threshold=float(entry.params.get("break_threshold", 0.05)),
         min_run=max(int(entry.params.get("min_run", 10)), in_window // 4))
-    predicted = _flag_machines(bundle, detector, metric="cpu", window=(t0, t1))
+    predicted = flag_machines(bundle.usage, detector, metric="cpu",
+                              window=(t0, t1))
     return _score_machines(entry, predicted, "sync_break")
 
 
@@ -279,8 +268,8 @@ def _run_imbalance(bundle: TraceBundle, entry: GroundTruthEntry) -> ScoredEntry:
 
     t0, t1 = _window_of(entry, bundle)
     metric = str(entry.params.get("metric", "disk"))
-    predicted = _flag_machines(bundle, ImbalanceDetector(), metric=metric,
-                               window=(t0, t1))
+    predicted = flag_machines(bundle.usage, ImbalanceDetector(),
+                              metric=metric, window=(t0, t1))
     return _score_machines(entry, predicted, "imbalance")
 
 

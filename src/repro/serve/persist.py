@@ -16,30 +16,31 @@ holds at least every batch a client ever got an ack for.  Journal
 records are binary (raw float64 bytes, not JSON): appending is a CRC and
 a ``write``, which is how journaled ingest stays within a few percent of
 in-memory throughput.  Every ``snapshot_every`` ingested samples — or as
-soon as the journal file crosses ``snapshot_bytes``, whichever trigger
-fires first — the
-tenant's full live state (ring, incremental detector states, alert
-manager, alert log) is pickled to ``snapshot.bin.tmp``, fsynced, and
-**atomically renamed** over the previous snapshot — the rename is the
-commit point, exactly like the trace cache's sidecar — after which the
-journal is truncated.  Records carry a monotonically increasing ingest
-sequence number, so a crash *between* rename and truncate is harmless:
-recovery skips journal records the snapshot already covers.
+soon as the journal file crosses ``snapshot_bytes``, whichever fires
+first — the tenant's full live state (ring, incremental detector states,
+alert manager, alert log) is committed as ``snapshot.bin``, then the
+journal is truncated.  Snapshots, specs and the marker all commit through
+:func:`repro.storage.write_atomic`.  Records carry a monotonically
+increasing ingest sequence number, so a crash *between* commit and
+truncate is harmless: recovery skips records the snapshot covers.
 
-**The read path** (server restart): load the snapshot if present (a torn
-or corrupt snapshot file reads as absent — the atomic rename means that
-only ever happens through outside interference, and recovery falls back
-to whatever contiguous journal prefix it can prove), then replay the
-journal tail through the tenant's ordinary ingest path.  Because ingest
-is the exact deterministic catch-up path of the streaming pipeline and
-each journal record preserves its original request batching, the
-recovered tenant is **bit-identical** — alerts including seq ids,
-detector events, ring contents — to one that never crashed.  A torn or
-truncated journal tail (the kill landed mid-``write``) fails its CRC or
-length check and reads as *absent*: replay stops at the last complete
-record, never errors, never invents state.  Recovery finishes by writing
-a fresh snapshot and truncating the journal, so torn bytes never pollute
-subsequent appends.
+**The read path** (server restart): load the snapshot if present, then
+replay the journal tail through the tenant's ordinary ingest path.
+Because ingest is the exact deterministic catch-up path of the streaming
+pipeline and each journal record preserves its original request
+batching, the recovered tenant is **bit-identical** — alerts including
+seq ids, detector events, ring contents — to one that never crashed.  A
+torn or truncated journal tail (the kill landed mid-``write``) fails its
+CRC or length check and reads as *absent*: replay stops at the last
+complete record, never errors, never invents state.  Recovery finishes
+by writing a fresh snapshot and truncating the journal, so torn bytes
+never pollute subsequent appends; first it deletes the tenant dir's
+``*.tmp`` files, which only a dead writer can have left.
+
+**Fail closed.**  An existing ``snapshot.bin`` that reads as absent is
+lost state, not an empty tenant.  Unless the journal still starts at seq
+1 (a crash between commit and truncate; replay rebuilds it exactly), the
+registry skips the tenant and leaves its files untouched.
 
 Snapshots use :mod:`pickle` — the state dir is the server's own private
 storage (the same trust domain as the process memory it mirrors), and
@@ -68,6 +69,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.errors import ServeError
+from repro.storage import fsync_dir, write_atomic
 from repro.testing.faults import fault_point
 
 SPEC_FILENAME = "spec.json"
@@ -87,40 +89,6 @@ DEFAULT_SNAPSHOT_EVERY = 1024
 _RECORD = struct.Struct("<IIQI")
 #: Sanity bound — a longer length field is corruption, not a record.
 _MAX_RECORD_BYTES = 1 << 31
-
-
-def _fsync_dir(path: Path) -> None:
-    """fsync a directory so a rename/creation inside it survives power loss.
-
-    Durability of ``os.replace`` (and of newly created files) needs the
-    *parent directory's* entry flushed too, not just the file contents —
-    without this, a post-crash filesystem may resurface the old name.
-    Best-effort: platforms that cannot fsync a directory are skipped.
-    """
-    try:
-        fd = os.open(path, os.O_RDONLY | getattr(os, "O_DIRECTORY", 0))
-    except OSError:
-        return
-    try:
-        os.fsync(fd)
-    except OSError:
-        pass
-    finally:
-        os.close(fd)
-
-
-def _write_atomic(path: Path, data: bytes, *, fsync: bool) -> None:
-    """Write ``data`` to ``path`` via tmp + rename (the commit point)."""
-    tmp = path.parent / (path.name + ".tmp")
-    with open(tmp, "wb") as handle:
-        handle.write(data)
-        handle.flush()
-        if fsync:
-            os.fsync(handle.fileno())
-    fault_point("persist.snapshot.rename")
-    os.replace(tmp, path)
-    if fsync:
-        _fsync_dir(path.parent)
 
 
 class FrameJournal:
@@ -145,7 +113,7 @@ class FrameJournal:
             created = not self.path.exists()
             self._handle = open(self.path, "ab")
             if created and self.fsync:
-                _fsync_dir(self.path.parent)
+                fsync_dir(self.path.parent)
         return self._handle
 
     def size(self) -> int:
@@ -234,37 +202,36 @@ class FrameJournal:
 
 
 def write_snapshot(path: Path, state: dict, *, fsync: bool = True) -> None:
-    """Persist a tenant-state dict: pickle + sha256, tmp + atomic rename."""
+    """Commit a tenant-state dict: magic, length and sha256, then the pickle."""
     fault_point("persist.snapshot.write")
     blob = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
-    payload = (SNAPSHOT_MAGIC + struct.pack("<Q", len(blob))
-               + hashlib.sha256(blob).digest() + blob)
-    _write_atomic(path, payload, fsync=fsync)
+
+    def write(handle) -> None:
+        handle.write(SNAPSHOT_MAGIC + struct.pack("<Q", len(blob))
+                     + hashlib.sha256(blob).digest())
+        handle.write(blob)
+        fault_point("persist.snapshot.rename")
+
+    write_atomic(path, write, fsync=fsync)
 
 
 def read_snapshot(path: Path) -> dict | None:
-    """Load a snapshot, or ``None`` when absent/torn/corrupt.
+    """Load a snapshot, or ``None`` when absent, torn or corrupt.
 
-    The atomic-rename commit point means a crash can never leave a torn
-    ``snapshot.bin``; this check guards against outside interference
-    (manual edits, disk corruption) and fails closed rather than
-    recovering invented state.
+    The atomic commit means a crash never leaves a torn ``snapshot.bin``;
+    the magic, length and digest checks guard against outside
+    interference (manual edits, disk corruption).
     """
     try:
         raw = Path(path).read_bytes()
-    except OSError:
-        return None
-    header = len(SNAPSHOT_MAGIC) + 8 + 32
-    if len(raw) < header or not raw.startswith(SNAPSHOT_MAGIC):
-        return None
-    (length,) = struct.unpack_from("<Q", raw, len(SNAPSHOT_MAGIC))
-    digest = raw[len(SNAPSHOT_MAGIC) + 8:header]
-    blob = raw[header:]
-    if len(blob) != length or hashlib.sha256(blob).digest() != digest:
-        return None
-    try:
+        header = len(SNAPSHOT_MAGIC) + 8 + 32
+        (length,) = struct.unpack_from("<Q", raw, len(SNAPSHOT_MAGIC))
+        blob = raw[header:]
+        if (not raw.startswith(SNAPSHOT_MAGIC) or len(blob) != length
+                or hashlib.sha256(blob).digest() != raw[header - 32:header]):
+            return None
         state = pickle.loads(blob)
-    except Exception:  # noqa: BLE001 - any unpickling defect reads as absent
+    except Exception:
         return None
     return state if isinstance(state, dict) else None
 
@@ -301,17 +268,16 @@ class TenantPersistence:
         created = not self.root.exists()
         self.root.mkdir(parents=True, exist_ok=True)
         if created and self.fsync:
-            _fsync_dir(self.root.parent)
-        _write_atomic(self.spec_path,
-                      json.dumps(spec_dict, indent=2).encode("utf-8"),
-                      fsync=self.fsync)
+            fsync_dir(self.root.parent)
+        payload = json.dumps(spec_dict, indent=2).encode("utf-8")
+        write_atomic(self.spec_path, lambda handle: handle.write(payload),
+                     fsync=self.fsync)
 
     def load_spec(self) -> dict | None:
         """The persisted spec dict, or ``None`` when absent or corrupt."""
         try:
-            raw = self.spec_path.read_text(encoding="utf-8")
-            spec = json.loads(raw)
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError):
+            spec = json.loads(self.spec_path.read_text(encoding="utf-8"))
+        except Exception:
             return None
         return spec if isinstance(spec, dict) else None
 
@@ -357,13 +323,21 @@ class TenantPersistence:
         Records the snapshot already covers (a crash landed between
         rename and truncate) are skipped; a gap in the chain ends the
         tail — replaying across a gap would invent state.
+
+        Fails closed: an existing ``snapshot.bin`` that reads as absent
+        raises :class:`ServeError` unless the journal starts at seq 1.
         """
         state = read_snapshot(self.snapshot_path)
+        records = FrameJournal.read_records(self.journal.path, num_machines,
+                                            num_metrics)
+        if (state is None and self.snapshot_path.exists()
+                and (not records or records[0][0] != 1)):
+            raise ServeError(f"snapshot {self.snapshot_path} is unreadable "
+                             f"and the journal does not start at seq 1")
         base = int(state.get("seq", 0)) if state is not None else 0
         tail = []
         expected = base + 1
-        for seq, ts, block in FrameJournal.read_records(
-                self.journal.path, num_machines, num_metrics):
+        for seq, ts, block in records:
             if seq <= base:
                 continue
             if seq != expected:
@@ -375,11 +349,6 @@ class TenantPersistence:
     # -- lifecycle ---------------------------------------------------------------
     def close(self) -> None:
         self.journal.close()
-
-    def destroy(self) -> None:
-        """Forget the tenant durably (``DELETE /tenants/<id>``)."""
-        self.close()
-        shutil.rmtree(self.root, ignore_errors=True)
 
 
 class ServerStateDir:
@@ -398,7 +367,7 @@ class ServerStateDir:
         if marker.exists():
             try:
                 version = json.loads(marker.read_text()).get("version")
-            except (OSError, json.JSONDecodeError, AttributeError):
+            except Exception:
                 version = None
             if version != STATE_VERSION:
                 raise ServeError(
@@ -407,7 +376,9 @@ class ServerStateDir:
                     f"{STATE_VERSION}); point --state-dir elsewhere or "
                     f"remove it")
         else:
-            marker.write_text(json.dumps({"version": STATE_VERSION}))
+            payload = json.dumps({"version": STATE_VERSION}).encode("utf-8")
+            write_atomic(marker, lambda handle: handle.write(payload),
+                         fsync=fsync)
 
     def tenant_root(self, tenant_id: str) -> Path:
         """The tenant's directory — guaranteed strictly inside ``tenants/``.

@@ -296,6 +296,9 @@ class Tenant:
             tenant._restore_state(state)
         for _seq, timestamps, block in tail:
             tenant._apply(timestamps, block)
+        # One writer per tenant dir: a leftover temp file is a dead one's.
+        for leftover in persist.root.glob("*.tmp"):
+            leftover.unlink(missing_ok=True)
         if state is not None or tail or persist.journal.path.exists():
             persist.write_snapshot(tenant._snapshot_state())
         tenant._samples_since_snapshot = 0
@@ -455,10 +458,10 @@ class TenantRegistry:
         """Resume every tenant stored in the state dir; returns their ids.
 
         Tenants whose spec no longer validates (e.g. a detector renamed
-        between versions) are skipped, not fatal — recovery brings back
-        everything it can prove and reports the rest via
-        :attr:`skipped`, mirroring the corrupt-reads-as-absent rule of
-        the journal itself.
+        between versions) or whose snapshot is unreadable are skipped,
+        not fatal — recovery brings back everything it can prove,
+        reports the rest via :attr:`skipped` and writes nothing to their
+        files.
         """
         self.skipped: list[str] = []
         if self.state is None:
@@ -474,8 +477,8 @@ class TenantRegistry:
                     continue
                 self._tenants[spec.tenant_id] = tenant
             self.skipped.extend(getattr(self.state, "skipped", []))
-            # Default ids must not collide with recovered ones.
-            for tenant_id in self._tenants:
+            # Default ids must not land on (and wipe) a skipped tenant.
+            for tenant_id in [*self._tenants, *self.skipped]:
                 if tenant_id.startswith("t") and tenant_id[1:].isdigit():
                     self._next_id = max(self._next_id,
                                         int(tenant_id[1:]) + 1)

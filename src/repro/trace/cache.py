@@ -26,9 +26,10 @@ under ``<dir>/.repro-cache/`` as three files:
 The cache is keyed by a **content hash** of the table files
 (:func:`trace_fingerprint`): edit, replace or re-compress any CSV and the
 fingerprint changes, the stale cache is ignored, and the next parse
-rewrites it.  Corrupt, truncated or incompatible cache files are treated
-as absent — the cache can always be deleted (or the whole ``.repro-cache``
-directory removed) without losing anything.
+rewrites it.  Every file commits and reads by :mod:`repro.storage`'s
+rules: an atomic best-effort write, and any defect reads as absent — the
+cache can always be deleted (or the whole ``.repro-cache`` directory
+removed) without losing anything.
 
 Callers normally never touch this module directly:
 ``load_trace(directory, cache=True, mmap=True)`` (or ``--cache --mmap`` on
@@ -42,15 +43,13 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
-import zipfile
 from pathlib import Path
 from typing import Callable, Mapping
 
 import numpy as np
 
-from repro.errors import SeriesError
 from repro.metrics.store import MetricStore, MmapBacking
+from repro.storage import load_npz, save_npz, write_atomic
 from repro.trace import schema
 from repro.trace.records import (
     BatchInstanceRecord,
@@ -179,22 +178,14 @@ def _write_ledger(directory: str | Path, fingerprint: str,
                   stats: dict[str, dict]) -> None:
     """Best-effort atomic rewrite of the stat ledger."""
     path = ledger_path(directory)
-    tmp: Path | None = None
     try:
+        payload = json.dumps({"version": CACHE_VERSION,
+                              "fingerprint": fingerprint,
+                              "files": stats}).encode("utf-8")
         path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(dir=path.parent,
-                                        prefix=path.name + ".", suffix=".tmp")
-        tmp = Path(tmp_name)
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump({"version": CACHE_VERSION, "fingerprint": fingerprint,
-                       "files": stats}, handle)
-        os.replace(tmp, path)
+        write_atomic(path, lambda handle: handle.write(payload))
     except (OSError, TypeError, ValueError):
-        try:
-            if tmp is not None:
-                tmp.unlink(missing_ok=True)
-        except OSError:
-            pass
+        pass
 
 
 def resolve_fingerprint(directory: str | Path,
@@ -222,8 +213,7 @@ def resolve_fingerprint(directory: str | Path,
                 and raw.get("files") == stats
                 and isinstance(raw.get("fingerprint"), str)):
             return raw["fingerprint"]
-    except (OSError, TypeError, ValueError, AttributeError,
-            json.JSONDecodeError):
+    except Exception:
         pass
     fingerprint = trace_fingerprint(paths)
     if stats is not None:
@@ -257,8 +247,7 @@ def _column_arrays(name: str, records: list) -> dict[str, np.ndarray]:
 def _records_from_arrays(name: str, data) -> list:
     """Rebuild one table's typed records from its columnar arrays.
 
-    Raises :class:`ValueError` (read as "cache absent" by the caller) when
-    the column arrays disagree on row count — ``zip`` would otherwise
+    Raises when the columns disagree on row count: ``zip`` would otherwise
     silently truncate a damaged cache to its shortest column.
     """
     table = schema.SCHEMAS[name]
@@ -295,27 +284,25 @@ def save_trace_cache(bundle: TraceBundle, directory: str | Path,
 
     Best-effort: a read-only directory, an unserialisable ``meta`` or any
     other failure returns ``None`` instead of raising — caching must never
-    break a load that already succeeded.  Both files are written
-    atomically (temp file + rename), the matrix sidecar strictly before
-    the npz: the npz holds the authoritative fingerprinted header, so its
-    rename is the commit point and a reader never observes a header
-    pointing at a missing or older matrix.
+    break a load that already succeeded.  The npz holds the authoritative
+    fingerprinted header, so its commit is the cache's: the old one is
+    removed first and the new one commits strictly after the matrix
+    sidecar, so no failed or killed rewrite leaves a header pointing at
+    a missing or different matrix.
     """
     if storage not in STORAGE_DTYPES:
         raise ValueError(f"unknown storage dtype {storage!r}; expected one "
                          f"of {sorted(STORAGE_DTYPES)}")
     path = cache_path(directory)
     matrix_path = usage_path(directory)
-    tmp: Path | None = None
-    usage_tmp: Path | None = None
     try:
-        header = json.dumps({
+        header = {
             "version": CACHE_VERSION,
             "fingerprint": fingerprint,
             "skip_malformed": bool(skip_malformed),
             "storage": storage,
             "meta": bundle.meta,
-        })
+        }
         arrays: dict[str, np.ndarray] = {}
         arrays.update(_column_arrays("machine_events", bundle.machine_events))
         arrays.update(_column_arrays("batch_task", bundle.tasks))
@@ -330,47 +317,25 @@ def save_trace_cache(bundle: TraceBundle, directory: str | Path,
             arrays["usage:timestamps"] = np.asarray(usage.timestamps,
                                                     dtype=np.float64)
         path.parent.mkdir(parents=True, exist_ok=True)
-        # A unique temp name per writer keeps concurrent cold loads of the
-        # same directory from interleaving on one file; whichever replace
-        # lands last wins with a complete cache either way.
-        fd, tmp_name = tempfile.mkstemp(dir=path.parent,
-                                        prefix=path.name + ".", suffix=".tmp")
-        tmp = Path(tmp_name)
-        with os.fdopen(fd, "wb") as handle:
-            np.savez(handle, __header__=np.asarray(header), **arrays)
+        path.unlink(missing_ok=True)
         if usage is not None:
-            ufd, usage_tmp_name = tempfile.mkstemp(
-                dir=path.parent, prefix=matrix_path.name + ".", suffix=".tmp")
-            usage_tmp = Path(usage_tmp_name)
-            with os.fdopen(ufd, "wb") as handle:
-                np.save(handle, np.ascontiguousarray(
-                    usage.data, dtype=STORAGE_DTYPES[storage]))
-            os.replace(usage_tmp, matrix_path)
-            usage_tmp = None
+            matrix = np.ascontiguousarray(usage.data,
+                                          dtype=STORAGE_DTYPES[storage])
+            write_atomic(matrix_path, lambda handle: np.save(handle, matrix))
         else:
             matrix_path.unlink(missing_ok=True)
-        os.replace(tmp, path)
-        tmp = None
+        save_npz(path, header, arrays)
     except (OSError, OverflowError, TypeError, ValueError):
         # Column building can fail on values the row parser accepted (e.g.
         # ints beyond int64); the load already succeeded, so skip caching.
-        for leftover in (tmp, usage_tmp):
-            try:
-                if leftover is not None:
-                    leftover.unlink(missing_ok=True)
-            except OSError:
-                pass
         return None
     return path
 
 
 def _open_usage_matrix(directory: str | Path, storage: str,
                        mmap: bool) -> tuple[np.ndarray, MmapBacking | None]:
-    """Open the ``usage.npy`` matrix sidecar (optionally memory-mapped).
-
-    Raises ``OSError``/``ValueError`` on a missing, truncated or
-    wrong-dtype file — the caller's corrupt-reads-as-absent net.
-    """
+    """Open the ``usage.npy`` matrix sidecar (optionally memory-mapped);
+    raises on a missing, truncated or wrong-dtype file."""
     path = usage_path(directory)
     stat = os.stat(path)
     matrix = np.load(path, mmap_mode="r" if mmap else None,
@@ -407,36 +372,31 @@ def load_trace_cache(directory: str | Path, fingerprint: str, *,
     so process-pool shard workers reopen the file rather than receiving
     array bytes.
     """
-    path = cache_path(directory)
     try:
-        with np.load(path, allow_pickle=False) as data:
-            header = json.loads(str(data["__header__"][()]))
-            if (header.get("version") != CACHE_VERSION
-                    or header.get("fingerprint") != fingerprint
-                    or header.get("skip_malformed") != bool(skip_malformed)
-                    or header.get("storage") != storage):
-                return None
-            usage = None
-            if bool(data["usage:present"][()]):
-                matrix, backing = _open_usage_matrix(directory, storage, mmap)
-                usage = MetricStore.from_dense(
-                    data["usage:machine_ids"].tolist(),
-                    data["usage:timestamps"],
-                    tuple(data["usage:metrics"].tolist()),
-                    matrix, dtype=None)
-                if backing is not None:
-                    usage._attach_backing(backing)
-            return TraceBundle(
-                machine_events=_records_from_arrays("machine_events", data),
-                tasks=_records_from_arrays("batch_task", data),
-                instances=_records_from_arrays("batch_instance", data),
-                usage=usage,
-                meta=dict(header.get("meta", {})),
-            )
-    except (OSError, KeyError, ValueError, TypeError, SeriesError,
-            json.JSONDecodeError, zipfile.BadZipFile):
-        # SeriesError covers from_dense rejecting inconsistent cached
-        # arrays (shape/id/timestamp mismatches) — corrupt reads as absent.
+        header, data = load_npz(cache_path(directory))
+        if (header.get("version") != CACHE_VERSION
+                or header.get("fingerprint") != fingerprint
+                or header.get("skip_malformed") != bool(skip_malformed)
+                or header.get("storage") != storage):
+            return None
+        usage = None
+        if bool(data["usage:present"][()]):
+            matrix, backing = _open_usage_matrix(directory, storage, mmap)
+            usage = MetricStore.from_dense(
+                data["usage:machine_ids"].tolist(),
+                data["usage:timestamps"],
+                tuple(data["usage:metrics"].tolist()),
+                matrix, dtype=None)
+            if backing is not None:
+                usage._attach_backing(backing)
+        return TraceBundle(
+            machine_events=_records_from_arrays("machine_events", data),
+            tasks=_records_from_arrays("batch_task", data),
+            instances=_records_from_arrays("batch_instance", data),
+            usage=usage,
+            meta=dict(header.get("meta", {})),
+        )
+    except Exception:
         return None
 
 

@@ -67,17 +67,6 @@ def _open_text(path: Path) -> io.TextIOBase:
     return open(path, "r", encoding="utf-8", newline="")
 
 
-def _resolve(directory: Path, filename: str) -> Path | None:
-    """Locate a table file, accepting an optional ``.gz`` suffix."""
-    plain = directory / filename
-    if plain.exists():
-        return plain
-    compressed = directory / (filename + ".gz")
-    if compressed.exists():
-        return compressed
-    return None
-
-
 def resolve_table_paths(directory: str | Path) -> "dict[str, Path | None]":
     """Locate every schema table under ``directory`` (``.gz`` accepted).
 

@@ -121,12 +121,6 @@ def _enclose_basis(basis: list[_Circle]) -> _Circle:
     return _enclose_basis_3(basis[0], basis[1], basis[2])
 
 
-def _encloses_weak_all(circle: _Circle, basis: list[_Circle]) -> bool:
-    return all(_encloses(_Circle(circle.x, circle.y, circle.r + 1e-6), b)
-               or abs(circle.r - b.r) < 1e-6 and _distance2(circle, b) < 1e-6
-               for b in basis)
-
-
 def _fallback_enclosing(circles: Sequence[_Circle]) -> _Circle:
     """A guaranteed (not necessarily minimal) enclosing circle.
 

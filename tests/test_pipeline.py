@@ -170,6 +170,66 @@ class TestSpecs:
         with pytest.raises(PipelineError, match="window_samples"):
             StreamingOptions.from_dict({"window_samples": "many"})
 
+    #: Every boolean a pipeline spec carries, with a spec setting it to
+    #: ``value`` and the parsed field it lands in.
+    FLAGS = {
+        "source.cache": (
+            lambda value: {"source": {"kind": "trace-dir", "path": "t",
+                                      "cache": value}},
+            lambda pipeline: pipeline.source.cache),
+        "source.mmap": (
+            lambda value: {"source": {"kind": "trace-dir", "path": "t",
+                                      "cache": True, "mmap": value}},
+            lambda pipeline: pipeline.source.mmap),
+        "source.paper_scale": (
+            lambda value: {"source": {"kind": "synthetic",
+                                      "paper_scale": value}},
+            lambda pipeline: pipeline.source.paper_scale),
+        "result_cache.enabled": (
+            lambda value: {"source": {"kind": "synthetic"},
+                           "result_cache": {"dir": "c", "enabled": value}},
+            lambda pipeline: pipeline.result_cache.enabled),
+    }
+
+    @pytest.mark.parametrize("flag", sorted(FLAGS))
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+    def test_non_boolean_flags_rejected(self, flag, value):
+        build, _ = self.FLAGS[flag]
+        with pytest.raises(PipelineError,
+                           match=rf"{flag} must be true or false, got"):
+            Pipeline.from_spec(build(value))
+
+    @pytest.mark.parametrize("flag", sorted(FLAGS))
+    @pytest.mark.parametrize("value", [True, False])
+    def test_boolean_flags_accepted(self, flag, value):
+        build, read = self.FLAGS[flag]
+        pipeline = Pipeline.from_spec(build(value))
+        assert read(pipeline) is value
+        assert Pipeline.from_spec(pipeline.to_spec()) == pipeline
+
+    @pytest.mark.parametrize("source, typo", [
+        ({"kind": "trace-dir", "path": "t"}, "cahce"),
+        ({"kind": "trace-dir", "path": "t"}, "seed"),
+        ({"kind": "synthetic", "scenario": "hotjob"}, "sead"),
+        ({"kind": "synthetic"}, "scenarios"),
+        ({"kind": "synthetic"}, "path"),
+    ])
+    def test_unknown_source_key_rejected(self, source, typo):
+        with pytest.raises(PipelineError) as err:
+            Pipeline.from_spec({"source": {**source, typo: 3}})
+        message = str(err.value)
+        assert f"unknown {source['kind']} source key(s) ['{typo}']" in message
+        assert "expected" in message and "'kind'" in message
+
+    def test_full_source_specs_round_trip(self, tmp_path):
+        for source in ({"kind": "trace-dir", "path": str(tmp_path),
+                        "cache": True, "mmap": True, "storage": "float32"},
+                       {"kind": "synthetic", "scenario": "hotjob", "seed": 3,
+                        "paper_scale": True, "config": {"num_machines": 8}}):
+            pipeline = Pipeline.from_spec({"source": source})
+            assert pipeline.to_spec()["source"] == source
+            assert Pipeline.from_spec(pipeline.to_spec()) == pipeline
+
     @pytest.mark.parametrize("window", [2, 3, MAX_WINDOW_SAMPLES - 1,
                                         MAX_WINDOW_SAMPLES])
     def test_window_samples_inside_bounds(self, window):

@@ -171,6 +171,18 @@ class TestSnapshot:
         assert read_snapshot(tmp_path / "s.bin")["seq"] == 2
         assert list(tmp_path.iterdir()) == [tmp_path / "s.bin"]
 
+    def test_failed_commit_keeps_the_old_snapshot(self, tmp_path):
+        from repro.testing import faults
+        from repro.testing.faults import InjectedFault
+
+        path = tmp_path / "s.bin"
+        write_snapshot(path, {"seq": 1}, fsync=False)
+        with faults.inject({"persist.snapshot.rename": {"at": 1}}):
+            with pytest.raises(InjectedFault):
+                write_snapshot(path, {"seq": 2}, fsync=False)
+        assert read_snapshot(path)["seq"] == 1
+        assert list(tmp_path.iterdir()) == [path]
+
 
 class TestTenantPersistence:
     def test_load_skips_records_the_snapshot_covers(self, tmp_path):
@@ -397,3 +409,139 @@ class TestIngestRollback:
         assert tenant.closed
         with pytest.raises(ServeError, match="journal rollback failed"):
             tenant.ingest(self.payload(3))
+
+
+class TestFailClosedRecovery:
+    """An unreadable snapshot never silently empties a tenant.
+
+    The feed: a 4-machine durable tenant ingests four-sample batches with
+    ``snapshot_every=64``, so batch 16 commits a snapshot and truncates
+    the journal, and batches 17-25 are journaled after it.
+    """
+
+    MACHINE_IDS = ["a", "b", "c", "d"]
+
+    def payloads(self):
+        from repro.serve.wire import block_to_payload
+
+        rng = np.random.default_rng(7)
+        return [block_to_payload(
+                    60.0 * np.arange(4 * i, 4 * i + 4, dtype=np.float64),
+                    rng.uniform(0.0, 100.0, size=(4, 3, 4)))
+                for i in range(25)]
+
+    def registry(self, root):
+        from repro.serve.tenants import TenantRegistry
+
+        return TenantRegistry(state=ServerStateDir(root, snapshot_every=64))
+
+    def flip_snapshot(self, root):
+        path = root / "tenants" / "a" / "snapshot.bin"
+        raw = bytearray(path.read_bytes())
+        raw[len(raw) // 2] ^= 0x01
+        path.write_bytes(bytes(raw))
+
+    @pytest.mark.parametrize("batches", [25, 16])
+    def test_unreadable_snapshot_skips_the_tenant_untouched(self, tmp_path,
+                                                            batches):
+        registry = self.registry(tmp_path)
+        tenant = registry.create({"id": "a", "machines": self.MACHINE_IDS})
+        for payload in self.payloads()[:batches]:
+            tenant.ingest(payload)
+        registry.close_all()
+        self.flip_snapshot(tmp_path)
+        tenant_dir = tmp_path / "tenants" / "a"
+        before = {name: (tenant_dir / name).read_bytes()
+                  for name in ("snapshot.bin", "journal.wal")}
+        assert len(before["journal.wal"]) == (3924 if batches == 25 else 0)
+
+        restarted = self.registry(tmp_path)
+        assert restarted.recover() == []
+        assert restarted.skipped == ["a"]
+        assert {name: (tenant_dir / name).read_bytes()
+                for name in before} == before
+
+    def test_journal_from_seq_1_rebuilds_the_state(self, tmp_path):
+        """A crash between the snapshot commit and the journal truncate
+        leaves every record since seq 1, so replay rebuilds the state
+        exactly even when the snapshot is unreadable."""
+        from repro.serve.tenants import TenantRegistry
+        from repro.testing import faults
+        from repro.testing.faults import InjectedFault
+
+        payloads = self.payloads()
+        registry = self.registry(tmp_path)
+        tenant = registry.create({"id": "a", "machines": self.MACHINE_IDS})
+        with faults.inject({"persist.journal.truncate": {"at": 1}}):
+            for done, payload in enumerate(payloads, start=1):
+                try:
+                    tenant.ingest(payload)
+                except InjectedFault:
+                    break
+        assert done == 16
+        tenant.persist.close()   # the crash: only the disk survives
+        self.flip_snapshot(tmp_path)
+
+        restarted = self.registry(tmp_path)
+        assert restarted.recover() == ["a"]
+        assert restarted.skipped == []
+        recovered = restarted.get("a")
+        assert recovered.num_samples == 4 * done
+        for payload in payloads[done:]:
+            recovered.ingest(payload)
+
+        reference = TenantRegistry().create(
+            {"id": "a", "machines": self.MACHINE_IDS})
+        for payload in payloads:
+            reference.ingest(payload)
+        assert recovered.alerts(cursor=0) == reference.alerts(cursor=0)
+        assert recovered.events() == reference.events()
+        assert recovered.summary() == reference.summary()
+
+    def test_default_id_skips_past_a_skipped_tenant(self, tmp_path):
+        registry = self.registry(tmp_path)
+        for _ in range(2):
+            registry.create({"machines": self.MACHINE_IDS})
+        registry.close_all()
+        spec = tmp_path / "tenants" / "t2" / "spec.json"
+        spec.write_text("{broken")
+
+        restarted = self.registry(tmp_path)
+        assert restarted.recover() == ["t1"]
+        assert restarted.skipped == ["t2"]
+        created = restarted.create({"machines": self.MACHINE_IDS})
+        assert created.spec.tenant_id == "t3"
+        assert spec.read_text() == "{broken"
+
+    def test_recovery_sweeps_leftover_temp_files(self, tmp_path):
+        registry = self.registry(tmp_path)
+        tenant = registry.create({"id": "a", "machines": self.MACHINE_IDS})
+        for payload in self.payloads()[:3]:
+            tenant.ingest(payload)
+        registry.close_all()
+        tenant_dir = tmp_path / "tenants" / "a"
+        (tenant_dir / "snapshot.bin.k2v9x0qa.tmp").write_bytes(b"torn")
+
+        restarted = self.registry(tmp_path)
+        assert restarted.recover() == ["a"]
+        assert restarted.get("a").num_samples == 12
+        assert sorted(p.name for p in tenant_dir.iterdir()) == [
+            "journal.wal", "snapshot.bin", "spec.json"]
+
+    def test_serve_prints_the_skipped_ids(self, tmp_path):
+        import signal
+
+        from tests.test_serve_recovery_golden import start_serve
+
+        registry = self.registry(tmp_path)
+        tenant = registry.create({"id": "a", "machines": self.MACHINE_IDS})
+        for payload in self.payloads():
+            tenant.ingest(payload)
+        registry.close_all()
+        self.flip_snapshot(tmp_path)
+
+        proc, _, banner = start_serve("--state-dir", str(tmp_path))
+        proc.send_signal(signal.SIGTERM)
+        proc.communicate(timeout=30)
+        assert "recovered 0 tenant(s)" in banner
+        assert "skipped unrecoverable tenant(s): a\n" in banner

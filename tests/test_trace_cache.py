@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import TraceFormatError
 from repro.trace import cache as trace_cache
@@ -180,6 +182,61 @@ class TestCacheInvalidation:
         bundle.meta["handle"] = object()   # not JSON-serialisable
         assert trace_cache.save_trace_cache(bundle, trace_dir, "f" * 64) is None
         assert not trace_cache.cache_path(trace_dir).exists()
+
+
+class TestCacheCorruption:
+    """Damaged sidecar bytes read as absent (or as the identical bundle)."""
+
+    @pytest.fixture(scope="class")
+    def sidecar(self, tmp_path_factory, thrashing_bundle):
+        """(trace dir, fingerprint, cold bundle, pristine sidecar bytes)."""
+        directory = tmp_path_factory.mktemp("sidecar")
+        write_trace(thrashing_bundle, directory)
+        cold = load_trace(directory, cache=True)
+        fingerprint = trace_cache.directory_fingerprint(directory)
+        pristine = {path: path.read_bytes()
+                    for path in (trace_cache.cache_path(directory),
+                                 trace_cache.usage_path(directory))}
+        return directory, fingerprint, cold, pristine
+
+    @staticmethod
+    def restore(pristine) -> None:
+        for path, raw in pristine.items():
+            path.write_bytes(raw)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_any_npz_byte_flip_reads_absent_or_identical(self, sidecar, data):
+        directory, fingerprint, cold, pristine = sidecar
+        self.restore(pristine)
+        path = trace_cache.cache_path(directory)
+        raw = bytearray(pristine[path])
+        raw[data.draw(st.integers(0, len(raw) - 1))] ^= data.draw(
+            st.integers(1, 255))
+        path.write_bytes(bytes(raw))
+        served = trace_cache.load_trace_cache(directory, fingerprint)
+        if served is not None:
+            assert_bundles_identical(served, cold)
+
+    def test_usage_header_flip_reparses(self, sidecar):
+        """Every byte of ``usage.npy``'s npy header, flipped in turn.
+
+        A flip that makes NumPy's header parser raise something unusual
+        (``tokenize.TokenError`` when the header length byte grows) must
+        still read as absent, so the load re-parses the CSVs.  Not
+        covered, and not claimed: ``usage.npy``'s data region carries no
+        checksum, so a flip there is served as a different value.
+        """
+        directory, _, cold, pristine = sidecar
+        raw = pristine[trace_cache.usage_path(directory)]
+        assert raw[:8] == b"\x93NUMPY\x01\x00"
+        header_end = 10 + int.from_bytes(raw[8:10], "little")
+        for position in range(header_end):
+            self.restore(pristine)
+            mutated = bytearray(raw)
+            mutated[position] ^= 0x80
+            trace_cache.usage_path(directory).write_bytes(bytes(mutated))
+            assert_bundles_identical(load_trace(directory, cache=True), cold)
 
 
 class TestStatLedger:
