@@ -44,6 +44,13 @@ def _validate_axes(machine_ids: Sequence[str],
     return machine_ids, timestamps
 
 
+def valid_utilisation(values):
+    """The one rule for utilisation samples, elementwise: finite and in
+    [0, 100] (NaN fails both comparisons).  The streaming ring, the trace
+    loader and the trace validator all apply it."""
+    return (values >= 0.0) & (values <= 100.0)
+
+
 @dataclass(frozen=True)
 class MmapBacking:
     """Where a memory-mapped store's dense matrix lives on disk.

@@ -6,7 +6,7 @@ directory, synthetic scenario spec, or in-memory bundle/store), a
 ``"threshold(threshold=85)+flatline"``, resolved by a registry exactly
 parallel to :mod:`repro.scenarios`), an execution **mode** (one vectorized
 batch pass through the :class:`~repro.analysis.engine.DetectionEngine`, or
-a streaming catch-up through :class:`~repro.stream.monitor.OnlineMonitor`)
+a streaming fold through :class:`~repro.stream.session.StreamSession`)
 and **sinks** (ground-truth scoring, Markdown/JSON reports, alert
 summaries, dashboards).
 

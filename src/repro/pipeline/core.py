@@ -8,10 +8,11 @@ directory, synthetic scenario spec, or an in-memory bundle/store), a
 an execution **mode**, and **sinks** consuming the verdict.  Batch mode
 executes every detector × metric through the vectorized
 :class:`~repro.analysis.engine.DetectionEngine` in one array pass each;
-streaming mode feeds the :class:`~repro.stream.monitor.OnlineMonitor` and
-the *same* detector stack block-wise through the engine's incremental
-protocol (``{"mode": "streaming", "chunk": 256}`` — detector events are
-bit-identical to batch for any chunk size) or replays sample by sample.
+streaming mode folds the source through one
+:class:`~repro.stream.session.StreamSession` — the online monitor and the
+*same* detector stack on the engine's incremental protocol — either
+block-wise (``{"mode": "streaming", "chunk": 256}``) or replayed sample by
+sample; detector events are bit-identical to batch either way.
 Either way :meth:`Pipeline.run` returns one :class:`RunResult`.
 
 Typical use::
@@ -140,7 +141,7 @@ class RunResult:
     alerts: tuple = ()                      # MonitorAlert rows (streaming)
     monitor: object | None = None           # OnlineMonitor (streaming)
     replay: object | None = None            # ReplayReport (sample cadence)
-    alert_manager: object | None = None     # AlertManager (sample cadence)
+    alert_manager: object | None = None     # AlertManager (streaming)
     outputs: dict = field(default_factory=dict)
     timings: dict = field(default_factory=dict)
 
@@ -265,14 +266,10 @@ class Pipeline:
                 raise PipelineError("pass either 'detectors' or 'plans', not both")
             self.plans = tuple(plans)
         else:
-            self.plans = self._compile(detectors)
+            self.plans, self._detector_spec = compile_plans(detectors,
+                                                            self.metrics)
 
     # -- construction ---------------------------------------------------------
-    def _compile(self, detectors) -> tuple[DetectorPlan, ...]:
-        """Cross detector stack × metrics into concrete plans."""
-        plans, self._detector_spec = compile_plans(detectors, self.metrics)
-        return plans
-
     @classmethod
     def from_spec(cls, spec: "dict | str") -> "Pipeline":
         """Build a pipeline declaratively from a dict (or string) spec.
@@ -583,53 +580,41 @@ class Pipeline:
                          detections=detections)
 
     def _run_streaming(self, bundle, store: "MetricStore") -> RunResult:
-        from repro.stream.monitor import MonitorConfig, OnlineMonitor
+        from repro.stream import MonitorConfig, StreamSession, TraceReplayer
 
         options = self.streaming
         config = MonitorConfig(utilisation_threshold=options.threshold)
+        replay = None
         if options.cadence == "sample":
             if bundle is None:
                 raise PipelineError(
                     "sample-cadence streaming replays a full trace bundle; "
                     "a bare metric store only supports cadence='catch-up'")
-            from repro.stream.replay import TraceReplayer
-
-            replayer = TraceReplayer(bundle, monitor_config=config,
-                                     window_samples=options.window_samples)
-            report = replayer.run_to_end()
-            return RunResult(mode="streaming", metrics=self.metrics,
-                             machine_ids=tuple(store.machine_ids),
-                             num_samples=store.num_samples,
-                             alerts=tuple(replayer.monitor.alerts),
-                             replay=report, alert_manager=replayer.alerts,
-                             monitor=replayer.monitor)
-        # Catch-up cadence: the monitor and every planned detector fold the
-        # source block-wise through the incremental engine.  Detector events
-        # are chunk-invariant (golden-pinned identical to a batch sweep);
-        # the monitor's regime/thrashing assessments run once per chunk.
-        monitor = OnlineMonitor(store.machine_ids, config=config,
-                                window_samples=options.window_samples)
-        from repro.analysis.engine import DetectionEngine
-
-        engine = DetectionEngine(detectors={})
-        states = [engine.stream(store.machine_ids, plan.detector,
-                                metric=plan.metric) for plan in self.plans]
-        chunk = options.chunk or store.num_samples
-        alerts: list = []
-        for lo in range(0, store.num_samples, chunk):
-            piece = store.sample_slice(lo, min(lo + chunk, store.num_samples))
-            alerts.extend(monitor.catch_up(piece))
-            for state in states:
-                engine.run_incremental(state, piece)
+            # One step: the monitor sees each sample, the detectors one chunk.
+            replayer = TraceReplayer(bundle, plans=self.plans,
+                                     monitor_config=config,
+                                     window_samples=options.window_samples,
+                                     samples_per_step=store.num_samples)
+            replay = replayer.run_to_end()
+            session = replayer.session
+        else:
+            session = StreamSession(store.machine_ids, self.plans,
+                                    config=config,
+                                    window_samples=options.window_samples)
+            chunk = options.chunk or store.num_samples
+            for lo in range(0, store.num_samples, chunk):
+                session.ingest(store.sample_slice(
+                    lo, min(lo + chunk, store.num_samples)))
         detections = tuple(
             DetectorRun(label=plan.label, name=plan.name, metric=plan.metric,
                         result=state.result())
-            for plan, state in zip(self.plans, states))
+            for plan, state in zip(self.plans, session.states))
         return RunResult(mode="streaming", metrics=self.metrics,
                          machine_ids=tuple(store.machine_ids),
                          num_samples=store.num_samples,
-                         detections=detections,
-                         alerts=tuple(alerts), monitor=monitor)
+                         detections=detections, alerts=tuple(session.alerts),
+                         monitor=session.monitor, replay=replay,
+                         alert_manager=session.manager)
 
     def _run_sinks(self, result: RunResult, source: _LazySource, *,
                    skip: "tuple[str, ...]" = ()) -> None:

@@ -35,13 +35,13 @@ Sources
 Streaming options
 -----------------
 ``{"threshold": 92.0, "window_samples": 128, "cadence": "catch-up",
-"chunk": 256}`` — ``cadence="catch-up"`` folds the source through the
-incremental engine: the online monitor *and* the pipeline's detector
-stack judge ``chunk`` samples at a time (the whole trace at once when
-``chunk`` is absent), with detector events bit-identical to a batch run
-for any chunk size; ``cadence="sample"`` replays sample by sample through
-the :class:`~repro.stream.replay.TraceReplayer` (alert-for-alert identical
-to a live feed, used by ``repro monitor``).
+"chunk": 256}`` — both cadences fold the source through one
+:class:`~repro.stream.session.StreamSession`, the online monitor *and*
+the detector stack, whose events are bit-identical to a batch run.
+``cadence="catch-up"`` judges ``chunk`` samples at a time (the whole
+trace when ``chunk`` is absent); ``cadence="sample"`` replays sample by
+sample through the :class:`~repro.stream.replay.TraceReplayer`
+(alert-for-alert identical to a live feed, used by ``repro monitor``).
 
 Execution options
 -----------------
@@ -61,6 +61,7 @@ from typing import TYPE_CHECKING, Mapping
 
 from repro.errors import PipelineError
 from repro.stream.monitor import check_utilisation_threshold
+from repro.stream.session import CADENCES
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.metrics.store import MetricStore
@@ -68,7 +69,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 
 SOURCE_KINDS = ("trace-dir", "synthetic", "bundle", "store")
 MODES = ("batch", "streaming")
-CADENCES = ("catch-up", "sample")
 #: Largest ``streaming.window_samples`` a spec may ask for, 512× the
 #: default of 128.  A sanity bound rather than a memory budget: the
 #: mirrored ring keeps 2 × window float64 samples per machine and metric,
@@ -249,12 +249,12 @@ class SourceSpec:
 class StreamingOptions:
     """Tunables of a streaming-mode run.
 
-    ``chunk`` feeds the source through the incremental engine
-    ``chunk`` samples at a time (catch-up cadence only): detector events
-    and threshold alerts are *chunk-invariant* — any chunk size, including
-    the whole trace at once, produces the identical verdict — while the
-    regime/thrashing assessments run once per chunk, so a smaller chunk
-    only tightens assessment latency and a larger one only buys
+    Both cadences run the detector stack, with events equal to batch.
+    ``chunk`` (catch-up cadence only) feeds the source ``chunk`` samples
+    at a time: detector events and threshold alerts are *chunk-invariant*
+    — any chunk size, including the whole trace, gives the same verdict —
+    while regime/thrashing assessments run once per chunk, so a smaller
+    chunk only tightens assessment latency and a larger one only buys
     wall-clock time.
     """
 

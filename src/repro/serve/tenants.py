@@ -5,15 +5,14 @@ population, detector stack, sliding-window ring and alert history.  The
 server holds many of them behind a :class:`TenantRegistry`; requests for
 different tenants run concurrently, requests for the same tenant are
 serialized by its condition lock — exactly the ingest-ordering guarantee
-a single :class:`~repro.stream.monitor.OnlineMonitor` needs.
+a single :class:`~repro.stream.session.StreamSession` needs.
 
-A tenant's ingest path is deliberately the same code the local streaming
-pipeline runs (``monitor.catch_up(chunk)`` then
-``engine.run_incremental(state, chunk)`` per compiled plan, with plans
-from the same :func:`~repro.pipeline.core.compile_plans`), so a scenario
-fed over the wire in any batching produces bit-identical detector events
-and threshold alerts to ``Pipeline(mode="streaming")`` on the same spec —
-the golden tests pin this.
+A tenant folds each ingest through a
+:class:`~repro.stream.session.StreamSession`, as the streaming
+:class:`~repro.pipeline.Pipeline` does, with plans from the same
+:func:`~repro.pipeline.core.compile_plans`, so a scenario fed over the
+wire in any batching produces bit-identical detector events and
+threshold alerts to that pipeline — the golden tests pin this.
 
 Tenants can be **durable**: constructed with a
 :class:`~repro.serve.persist.TenantPersistence` handle, every ingest is
@@ -31,7 +30,6 @@ import re
 import threading
 from dataclasses import dataclass
 
-from repro.analysis.engine import DetectionEngine
 from repro.config import METRICS
 from repro.errors import (
     BatchLensError,
@@ -45,7 +43,8 @@ from repro.pipeline.detectors import canonical_detector_spec, default_detector_s
 from repro.pipeline.spec import StreamingOptions
 from repro.serve.wire import payload_to_block
 from repro.stream.alerts import AlertManager, AlertPolicy
-from repro.stream.monitor import MonitorConfig, OnlineMonitor
+from repro.stream.monitor import MonitorConfig
+from repro.stream.session import StreamSession
 
 #: A tenant id doubles as its on-disk directory name under the server's
 #: ``--state-dir``, so the charset is locked down hard: one path-safe
@@ -169,22 +168,15 @@ class Tenant:
     def __init__(self, spec: TenantSpec, *, persist=None) -> None:
         self.spec = spec
         self.plans, _ = compile_plans(spec.detectors, spec.metrics)
-        config = MonitorConfig(utilisation_threshold=spec.streaming.threshold)
-        self.monitor = OnlineMonitor(
-            spec.machines, config=config,
-            window_samples=spec.streaming.window_samples)
-        self.engine = DetectionEngine(detectors={})
-        self.states = [self.engine.stream(list(spec.machines), plan.detector,
-                                          metric=plan.metric)
-                       for plan in self.plans]
-        # min_severity="info": the service's raw log must carry every
-        # monitor alert (golden-comparable with a local run); operators
-        # filter via the managed/pending views instead.
-        self.manager = AlertManager(policy=AlertPolicy(min_severity="info"))
-        #: Every monitor alert in arrival order; entry i has seq i + 1.
-        #: The default alert subscription cursor walks this log, so
-        #: delivery is gap-free and duplicate-free by construction.
-        self.alert_log: list = []
+        #: Entry i of ``session.alerts`` has seq i + 1: the default alert
+        #: cursor walks that log.  The manager keeps "info" alerts too;
+        #: operators filter via the managed and pending views.
+        self.session = StreamSession(
+            spec.machines, self.plans,
+            config=MonitorConfig(
+                utilisation_threshold=spec.streaming.threshold),
+            window_samples=spec.streaming.window_samples,
+            manager=AlertManager(policy=AlertPolicy(min_severity="info")))
         self.cond = threading.Condition()
         self.closed = False
         self._close_reason: str | None = None
@@ -245,37 +237,34 @@ class Tenant:
         """The deterministic ingest step (shared by the wire and replay)."""
         chunk = MetricStore.from_dense(list(self.spec.machines),
                                        timestamps, METRICS, block)
-        # Same order as Pipeline._run_streaming: monitor first (ring
-        # append + threshold/regime/thrashing), then detector states.
-        new_alerts = self.monitor.catch_up(chunk)
-        for state in self.states:
-            self.engine.run_incremental(state, chunk)
-        base = len(self.alert_log)
-        self.alert_log.extend(new_alerts)
-        self.manager.ingest_many(new_alerts)
+        base = len(self.session.alerts)
+        new_alerts = self.session.ingest(chunk)
         self.num_samples += chunk.num_samples
         self._ingest_seq += 1
         self._samples_since_snapshot += chunk.num_samples
         return {"tenant": self.spec.tenant_id,
                 "ingested": chunk.num_samples,
                 "total_samples": self.num_samples,
-                "cursor": len(self.alert_log),
+                "cursor": len(self.session.alerts),
                 "alerts": [{"seq": base + i + 1, "alert": a.to_dict()}
                            for i, a in enumerate(new_alerts)]}
 
     # -- durability ------------------------------------------------------------
     def _snapshot_state(self) -> dict:
         """Everything a restarted server needs, as one picklable dict."""
+        session = self.session
         return {"version": 1, "seq": self._ingest_seq,
-                "num_samples": self.num_samples, "monitor": self.monitor,
-                "states": self.states, "manager": self.manager,
-                "alert_log": self.alert_log}
+                "num_samples": self.num_samples, "monitor": session.monitor,
+                "states": session.states, "manager": session.manager,
+                "alert_log": session.alerts}
 
     def _restore_state(self, state: dict) -> None:
-        self.monitor = state["monitor"]
-        self.states = state["states"]
-        self.manager = state["manager"]
-        self.alert_log = state["alert_log"]
+        self.session.monitor = state["monitor"]
+        self.session.states = state["states"]
+        self.session.manager = state["manager"]
+        # ``alert_log`` is the log handed out; snapshots from before the
+        # session kept it apart from the monitor's own list.
+        self.session.monitor.alerts = state["alert_log"]
         self.num_samples = int(state["num_samples"])
         self._ingest_seq = int(state["seq"])
 
@@ -323,18 +312,18 @@ class Tenant:
         if cursor < 0:
             raise ServeError(f"alert cursor must be non-negative, got {cursor}")
         with self.cond:
+            log, manager = self.session.alerts, self.session.manager
             if view == "log":
                 entries = [{"seq": i + 1, "alert": a.to_dict()}
-                           for i, a in enumerate(
-                               self.alert_log[cursor:], start=cursor)]
-                new_cursor = len(self.alert_log)
+                           for i, a in enumerate(log[cursor:], start=cursor)]
+                new_cursor = len(log)
             elif view == "managed":
-                records = self.manager.alerts_since(cursor)
+                records = manager.alerts_since(cursor)
                 entries = [r.to_dict() for r in records]
                 new_cursor = (records[-1].seq if records
-                              else max(cursor, self.manager.last_seq))
+                              else max(cursor, manager.last_seq))
             elif view == "pending":
-                entries = [r.to_dict() for r in self.manager.pending()]
+                entries = [r.to_dict() for r in manager.pending()]
                 new_cursor = cursor
             else:
                 raise ServeError(
@@ -350,7 +339,7 @@ class Tenant:
                     else timeout_s)
         with self.cond:
             self.cond.wait_for(
-                lambda: self.closed or len(self.alert_log) > cursor,
+                lambda: self.closed or len(self.session.alerts) > cursor,
                 timeout=deadline)
 
     def events(self) -> dict:
@@ -360,13 +349,14 @@ class Tenant:
                 {"label": plan.label, "name": plan.name,
                  "metric": plan.metric,
                  "events": [e.to_dict() for e in state.events()]}
-                for plan, state in zip(self.plans, self.states)]
+                for plan, state in zip(self.plans, self.session.states)]
         return {"tenant": self.spec.tenant_id, "detections": detections}
 
     def summary(self) -> dict:
         with self.cond:
+            session = self.session
             flagged: set[str] = set()
-            for state in self.states:
+            for state in session.states:
                 flagged |= state.flagged_machines()
             info = {"tenant": self.spec.tenant_id,
                     "machines": len(self.spec.machines),
@@ -374,14 +364,14 @@ class Tenant:
                     "metrics": list(self.spec.metrics),
                     "num_samples": self.num_samples,
                     "window_samples": self.spec.streaming.window_samples,
-                    "num_alerts": len(self.alert_log),
-                    "alerts_by_kind": self.manager.digest(),
+                    "num_alerts": len(session.alerts),
+                    "alerts_by_kind": session.manager.digest(),
                     "num_events": sum(
-                        len(state.events()) for state in self.states),
+                        len(state.events()) for state in session.states),
                     "flagged_machines": sorted(flagged),
                     "closed": self.closed}
             if self.num_samples:
-                info["latest_timestamp"] = self.monitor.store.latest_timestamp
+                info["latest_timestamp"] = session.monitor.store.latest_timestamp
             return info
 
     def window_version(self) -> "tuple[int, int]":
@@ -394,7 +384,7 @@ class Tenant:
         """
         with self.cond:
             self._check_open()
-            return self.incarnation, self.monitor.store.total_samples
+            return self.incarnation, self.session.monitor.store.total_samples
 
     def snapshot(self) -> MetricStore:
         """Independent copy of the ring window (for batch ``/detect``)."""
@@ -404,7 +394,7 @@ class Tenant:
                 raise ServeError(
                     f"tenant {self.spec.tenant_id!r} has no samples yet; "
                     f"ingest frames before requesting a batch detect")
-            return self.monitor.store.snapshot_store()
+            return self.session.monitor.store.snapshot_store()
 
     # -- lifecycle -------------------------------------------------------------
     def close(self, *, reason: str = "deleted") -> None:
@@ -453,6 +443,7 @@ class TenantRegistry:
         self._tenants: dict[str, Tenant] = {}
         self._next_id = 1
         self._closed = False
+        self.skipped: list[str] = []
 
     def recover(self) -> "list[str]":
         """Resume every tenant stored in the state dir; returns their ids.
@@ -461,9 +452,9 @@ class TenantRegistry:
         between versions) or whose snapshot is unreadable are skipped,
         not fatal — recovery brings back everything it can prove,
         reports the rest via :attr:`skipped` and writes nothing to their
-        files.
+        files; :meth:`create` refuses a skipped id while its files exist.
         """
-        self.skipped: list[str] = []
+        self.skipped = []
         if self.state is None:
             return []
         with self._lock:
@@ -499,6 +490,13 @@ class TenantRegistry:
             if len(self._tenants) >= self.max_tenants:
                 raise ServeError(
                     f"tenant capacity {self.max_tenants} reached")
+            if spec.tenant_id in self.skipped:
+                root = self.state.tenant_root(spec.tenant_id)
+                if root.exists():
+                    raise ServeError(
+                        f"tenant {spec.tenant_id!r} was skipped on recovery "
+                        f"and its files are kept in {root}; move that "
+                        f"directory away to re-create the id")
             # Build the live tenant first: a spec its monitor or ring
             # rejects must leave nothing behind in the state dir.
             tenant = Tenant(spec)

@@ -5,9 +5,7 @@ from repro.stream.monitor import (
     MonitorAlert,
     MonitorConfig,
     OnlineMonitor,
-    iter_frames,
     iter_samples,
-    replay_bundle,
 )
 from repro.stream.online_stats import P2Quantile, RunningStats
 from repro.stream.replay import (
@@ -18,6 +16,7 @@ from repro.stream.replay import (
     replay_scenario,
     replay_with_alerts,
 )
+from repro.stream.session import StreamSession
 from repro.stream.store import StreamingMetricStore
 
 __all__ = [
@@ -31,12 +30,11 @@ __all__ = [
     "ReplayCheckpoint",
     "ReplayReport",
     "RunningStats",
+    "StreamSession",
     "StreamingMetricStore",
     "TraceReplayer",
     "alert_timeline",
-    "iter_frames",
     "iter_samples",
-    "replay_bundle",
     "replay_scenario",
     "replay_with_alerts",
 ]

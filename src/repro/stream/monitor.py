@@ -4,9 +4,9 @@ The :class:`OnlineMonitor` turns the paper's offline case-study readings into
 a live loop: every ingested sample updates the streaming window, and the
 monitor emits :class:`MonitorAlert` records when the cluster regime changes,
 when a machine crosses a utilisation threshold, or when a machine starts
-thrashing.  :func:`replay_bundle` feeds an offline trace through the monitor
-sample by sample, which is both the test harness and a demonstration of how
-a production deployment would wire a metrics pipeline into BatchLens.
+thrashing.  Streams drive it through a
+:class:`~repro.stream.session.StreamSession`, which also folds the
+detector states and the alert manager.
 
 Internally the monitor is fully incremental and vectorized:
 
@@ -28,7 +28,7 @@ implementation — the incremental rewiring only buys wall-clock time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -39,7 +39,6 @@ from repro.analysis.thrashing import ThrashingConfig, cluster_thrashing_report
 from repro.errors import SeriesError
 from repro.metrics.store import MetricStore
 from repro.stream.store import StreamingMetricStore
-from repro.trace.records import TraceBundle
 
 
 @dataclass(frozen=True)
@@ -115,14 +114,12 @@ class OnlineMonitor:
 
     def __init__(self, machine_ids: Sequence[str], *,
                  config: MonitorConfig | None = None,
-                 window_samples: int = 128,
-                 on_alert: Callable[[MonitorAlert], None] | None = None) -> None:
+                 window_samples: int = 128) -> None:
         self.config = config if config is not None else MonitorConfig()
         self.config.validate()
         self.store = StreamingMetricStore(machine_ids,
                                           window_samples=window_samples)
         self.alerts: list[MonitorAlert] = []
-        self._on_alert = on_alert
         self._last_regime: Regime | None = None
         # One incremental threshold sweep per watched metric that the store
         # actually carries; ``position`` keeps the metric's index in
@@ -161,18 +158,11 @@ class OnlineMonitor:
         """Ingest one dense ``(machines, metrics)`` frame (no dict round trip).
 
         Alert-for-alert identical to :meth:`observe` on the equivalent
-        sample dict; the trace replayer feeds zero-copy store columns
-        through this.
+        sample dict; a sample-cadence stream session feeds zero-copy store
+        columns through this.
         """
         self.store.append_frame(timestamp, frame)
         return self._after_sample(timestamp)
-
-    def accepts_frames_of(self, store: MetricStore) -> bool:
-        """True when ``store`` columns can feed :meth:`observe_frame` as-is
-        (same machine order, same metric order) — the one layout predicate
-        the dense replay paths share."""
-        return (store.machine_ids == self.store.machine_ids
-                and store.metrics == self.store.metrics)
 
     def _after_sample(self, timestamp: float) -> list[MonitorAlert]:
         """The per-sample check cascade, after the store ingested a frame."""
@@ -183,7 +173,8 @@ class OnlineMonitor:
         new_alerts.extend(self._check_regime(timestamp))
         if self._samples_seen % self.config.thrashing_scan_every == 0:
             new_alerts.extend(self._check_thrashing(timestamp))
-        return self._dispatch(new_alerts)
+        self.alerts.extend(new_alerts)
+        return new_alerts
 
     def catch_up(self, store: MetricStore) -> list[MonitorAlert]:
         """Ingest a whole offline block at once (vectorized batch catch-up).
@@ -208,24 +199,19 @@ class OnlineMonitor:
         if store.num_samples == 0:
             return []
         timestamps = store.timestamps
-        block = self._aligned_block(store)
+        block = self.aligned_block(store)
         self.store.append_block(timestamps, block)
         self._samples_seen += store.num_samples
         new_alerts = self._threshold_alerts(
             np.asarray(timestamps, dtype=np.float64), block)
         new_alerts.extend(self._check_regime(float(timestamps[-1])))
         new_alerts.extend(self._check_thrashing(float(timestamps[-1])))
-        return self._dispatch(new_alerts)
-
-    def _dispatch(self, new_alerts: list[MonitorAlert]) -> list[MonitorAlert]:
-        for alert in new_alerts:
-            self.alerts.append(alert)
-            if self._on_alert is not None:
-                self._on_alert(alert)
+        self.alerts.extend(new_alerts)
         return new_alerts
 
-    def _aligned_block(self, store: MetricStore) -> np.ndarray:
-        """The store's data in this monitor's machine/metric order."""
+    def aligned_block(self, store: MetricStore) -> np.ndarray:
+        """The store's data in this monitor's machine/metric order (the
+        layout both :meth:`catch_up` and :meth:`observe_frame` take)."""
         stream = self.store
         if (store.machine_ids == stream.machine_ids
                 and store.metrics == stream.metrics):
@@ -372,55 +358,10 @@ class OnlineMonitor:
         return counts
 
 
-def sample_dict(store: MetricStore, index: int) -> dict[str, dict[str, float]]:
-    """The ``{machine: {metric: value}}`` dict form of one store column."""
-    return {machine_id: {metric: float(store.data[m_idx, j, index])
-                         for j, metric in enumerate(store.metrics)}
-            for m_idx, machine_id in enumerate(store.machine_ids)}
-
-
 def iter_samples(store: MetricStore) -> Iterator[tuple[float, dict[str, dict[str, float]]]]:
     """Yield ``(timestamp, {machine: {metric: value}})`` frames from a store."""
     for index, timestamp in enumerate(store.timestamps):
-        yield float(timestamp), sample_dict(store, index)
-
-
-def iter_frames(store: MetricStore) -> Iterator[tuple[float, np.ndarray]]:
-    """Yield ``(timestamp, (machines, metrics) column view)`` frames.
-
-    The dense, zero-copy sibling of :func:`iter_samples` — the trace
-    replayer drives :meth:`OnlineMonitor.observe_frame` with it, skipping
-    the per-machine dict construction entirely.
-    """
-    data = store.data
-    for index, timestamp in enumerate(store.timestamps):
-        yield float(timestamp), data[:, :, index]
-
-
-def replay_bundle(bundle: TraceBundle, *, monitor: OnlineMonitor | None = None,
-                  config: MonitorConfig | None = None,
-                  window_samples: int = 128,
-                  batch: bool = False) -> OnlineMonitor:
-    """Replay a trace bundle's usage through an online monitor.
-
-    Returns the monitor, whose ``alerts`` list then contains everything a
-    live deployment would have raised during the trace.  With ``batch=True``
-    the whole bundle is folded through :meth:`OnlineMonitor.catch_up` in one
-    vectorized pass (identical threshold alerts; regime/thrashing assessed
-    once at the end) instead of sample by sample.
-    """
-    if bundle.usage is None or bundle.usage.num_samples == 0:
-        raise SeriesError("bundle carries no usage data to replay")
-    if monitor is None:
-        monitor = OnlineMonitor(bundle.usage.machine_ids, config=config,
-                                window_samples=window_samples)
-    if batch:
-        monitor.catch_up(bundle.usage)
-        return monitor
-    if monitor.accepts_frames_of(bundle.usage):
-        for timestamp, frame in iter_frames(bundle.usage):
-            monitor.observe_frame(timestamp, frame)
-    else:
-        for timestamp, frame in iter_samples(bundle.usage):
-            monitor.observe(timestamp, frame)
-    return monitor
+        yield float(timestamp), {
+            machine_id: {metric: float(store.data[m_idx, j, index])
+                         for j, metric in enumerate(store.metrics)}
+            for m_idx, machine_id in enumerate(store.machine_ids)}

@@ -3,8 +3,9 @@
 A live BatchLens deployment would subscribe to the cluster's metrics bus;
 this repository has no cluster, so :class:`TraceReplayer` plays an offline
 :class:`~repro.trace.records.TraceBundle` back sample by sample in
-*simulated* time.  It drives the :class:`~repro.stream.monitor.OnlineMonitor`
-and :class:`~repro.stream.alerts.AlertManager`, supports stepping and
+*simulated* time.  It feeds a ``cadence="sample"``
+:class:`~repro.stream.session.StreamSession` (the online monitor, any
+planned detectors and the alert manager), supports stepping and
 checkpointing (so a demo can pause at the case-study timestamps), and
 produces a :class:`ReplayReport` summarising what a live deployment would
 have surfaced.
@@ -17,7 +18,6 @@ keeps the harness deterministic and test-friendly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from repro.errors import SeriesError
 from repro.stream.alerts import AlertManager, ManagedAlert
 from repro.stream.monitor import MonitorAlert, MonitorConfig, OnlineMonitor
 from repro.stream.online_stats import P2Quantile, RunningStats
+from repro.stream.session import StreamSession
 from repro.trace.records import TraceBundle
 
 
@@ -55,98 +56,82 @@ class ReplayReport:
 
 
 class TraceReplayer:
-    """Replays a bundle's usage through the online monitoring stack."""
+    """Replays a bundle's usage through a sample-cadence stream session
+    (with one incremental detector state per plan in ``plans``)."""
 
-    def __init__(self, bundle: TraceBundle, *,
+    def __init__(self, bundle: TraceBundle, *, plans=(),
                  monitor_config: MonitorConfig | None = None,
                  alert_manager: AlertManager | None = None,
                  window_samples: int = 128,
-                 samples_per_step: int = 1,
-                 on_sample: Callable[[float, dict], None] | None = None) -> None:
+                 samples_per_step: int = 1) -> None:
         if bundle.usage is None or bundle.usage.num_samples == 0:
             raise SeriesError("bundle carries no usage data to replay")
         if samples_per_step < 1:
             raise SeriesError("samples_per_step must be at least 1")
         self.bundle = bundle
-        self.monitor = OnlineMonitor(bundle.usage.machine_ids,
+        self.session = StreamSession(bundle.usage.machine_ids, plans,
                                      config=monitor_config,
-                                     window_samples=window_samples)
-        self.alerts = alert_manager if alert_manager is not None else AlertManager()
+                                     window_samples=window_samples,
+                                     cadence="sample", manager=alert_manager)
         self.samples_per_step = samples_per_step
-        self._on_sample = on_sample
-        self._store = bundle.usage
         self._cursor = 0
-        # Dense columns feed the monitor directly when the layouts line up
-        # (the normal case: the monitor was just built from this store);
-        # otherwise fall back to the dict-sample path.
-        self._dense = self.monitor.accepts_frames_of(self._store)
-        self._samples_replayed = 0
-        self._last_timestamp: float | None = None
         self._cpu_stats = RunningStats()
         self._cpu_p95 = P2Quantile(0.95)
         self._checkpoints: list[ReplayCheckpoint] = []
         self._exhausted = False
 
+    @property
+    def monitor(self) -> OnlineMonitor:
+        return self.session.monitor
+
+    @property
+    def alerts(self) -> AlertManager:
+        """The session's alert manager."""
+        return self.session.manager
+
     # -- progress ---------------------------------------------------------------
     @property
     def samples_replayed(self) -> int:
-        return self._samples_replayed
+        return self._cursor
 
     @property
     def current_timestamp(self) -> float | None:
         """Timestamp of the most recently replayed sample."""
-        return self._last_timestamp
+        if self._cursor == 0:
+            return None
+        return float(self.bundle.usage.timestamps[self._cursor - 1])
 
     @property
     def finished(self) -> bool:
         return self._exhausted
 
     # -- stepping ---------------------------------------------------------------
-    def _sample_dict(self, index: int) -> dict:
-        """The dict form of one trace column (callbacks, fallback path)."""
-        from repro.stream.monitor import sample_dict
-
-        return sample_dict(self._store, index)
-
     def step(self) -> list[MonitorAlert]:
         """Replay up to ``samples_per_step`` samples; returns the new alerts."""
+        store = self.bundle.usage
+        lo = self._cursor
+        hi = min(lo + self.samples_per_step, store.num_samples)
         new_alerts: list[MonitorAlert] = []
-        store = self._store
-        has_cpu = "cpu" in store.metrics
-        for _ in range(self.samples_per_step):
-            if self._cursor >= store.num_samples:
-                self._exhausted = True
-                break
-            index = self._cursor
-            self._cursor += 1
-            timestamp = float(store.timestamps[index])
-            self._samples_replayed += 1
-            self._last_timestamp = timestamp
-            cpu_column = (store.metric_block("cpu")[:, index] if has_cpu
-                          else np.zeros(store.num_machines))
-            self._cpu_stats.update_many(cpu_column)
-            self._cpu_p95.update_many(cpu_column)
-            if self._dense:
-                alerts = self.monitor.observe_frame(timestamp,
-                                                    store.data[:, :, index])
-            else:
-                alerts = self.monitor.observe(timestamp,
-                                              self._sample_dict(index))
-            self.alerts.ingest_many(alerts)
-            new_alerts.extend(alerts)
-            if self._on_sample is not None:
-                self._on_sample(timestamp, self._sample_dict(index))
+        if hi > lo:
+            # Column by column: RunningStats.update_many over several
+            # samples would merge differently in floating point.
+            has_cpu = "cpu" in store.metrics
+            for index in range(lo, hi):
+                cpu_column = (store.metric_block("cpu")[:, index] if has_cpu
+                              else np.zeros(store.num_machines))
+                self._cpu_stats.update_many(cpu_column)
+                self._cpu_p95.update_many(cpu_column)
+            new_alerts = self.session.ingest(store.sample_slice(lo, hi))
+            self._cursor = hi
+        self._exhausted = hi - lo < self.samples_per_step
         return new_alerts
 
     def run_until(self, timestamp: float) -> list[MonitorAlert]:
         """Replay until the trace clock passes ``timestamp`` (or the end)."""
         collected: list[MonitorAlert] = []
-        while not self._exhausted and (self._last_timestamp is None
-                                       or self._last_timestamp < timestamp):
-            alerts = self.step()
-            collected.extend(alerts)
-            if not alerts and self._exhausted:
-                break
+        while not self._exhausted and (self.current_timestamp is None
+                                       or self.current_timestamp < timestamp):
+            collected.extend(self.step())
         return collected
 
     def run_to_end(self) -> ReplayReport:
@@ -158,13 +143,13 @@ class TraceReplayer:
     # -- checkpoints -----------------------------------------------------------------
     def checkpoint(self) -> ReplayCheckpoint:
         """Record (and return) a snapshot of the replay state."""
-        if self._samples_replayed == 0:
+        if self._cursor == 0:
             raise SeriesError("cannot checkpoint before any sample is replayed")
         regime = self.monitor.current_regime
         snapshot = ReplayCheckpoint(
-            timestamp=float(self._last_timestamp),
-            samples_replayed=self._samples_replayed,
-            alerts_so_far=len(self.monitor.alerts),
+            timestamp=self.current_timestamp,
+            samples_replayed=self._cursor,
+            alerts_so_far=len(self.session.alerts),
             regime=regime.value if regime is not None else None,
             mean_cpu=self._cpu_stats.mean,
             p95_cpu=self._cpu_p95.value,
@@ -177,11 +162,11 @@ class TraceReplayer:
         """Summarise everything replayed so far."""
         start, _ = self.bundle.time_range()
         duration = 0.0
-        if self._last_timestamp is not None:
-            duration = float(self._last_timestamp) - float(start)
+        if self.current_timestamp is not None:
+            duration = self.current_timestamp - float(start)
         regime = self.monitor.current_regime
         return ReplayReport(
-            samples_replayed=self._samples_replayed,
+            samples_replayed=self._cursor,
             duration_s=max(0.0, duration),
             alerts_by_kind=self.monitor.summary(),
             pending_alerts=len(self.alerts.pending()),

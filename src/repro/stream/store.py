@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.config import METRICS
 from repro.errors import SeriesError
-from repro.metrics.store import MetricStore
+from repro.metrics.store import MetricStore, valid_utilisation
 
 
 class StreamingMetricStore:
@@ -91,7 +91,7 @@ class StreamingMetricStore:
                 col = self._metric_index.get(metric)
                 if col is None:
                     raise SeriesError(f"unknown metric {metric!r}")
-                if not 0.0 <= float(value) <= 100.0:
+                if not valid_utilisation(float(value)):
                     raise SeriesError(
                         f"utilisation {value} outside [0, 100] for "
                         f"{machine_id}/{metric}")
@@ -114,9 +114,7 @@ class StreamingMetricStore:
         if self._count and timestamp <= self.latest_timestamp:
             raise SeriesError(
                 f"timestamp {timestamp} is not after {self.latest_timestamp}")
-        # NaN-rejecting form: a `min() < 0 or max() > 100` test is False
-        # for NaN and would silently poison the ring.
-        if frame.size and not np.all((frame >= 0.0) & (frame <= 100.0)):
+        if not valid_utilisation(frame).all():
             raise SeriesError("utilisation values outside [0, 100] in frame")
         self._write_column(float(timestamp), frame)
 
@@ -145,7 +143,7 @@ class StreamingMetricStore:
             raise SeriesError(
                 f"timestamp {timestamps[0]} is not after "
                 f"{self.latest_timestamp}")
-        if block.size and not np.all((block >= 0.0) & (block <= 100.0)):
+        if not valid_utilisation(block).all():
             raise SeriesError("utilisation values outside [0, 100] in block")
         total_new = timestamps.shape[0]
         # Only the trailing window survives a bounded buffer: samples a

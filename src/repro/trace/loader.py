@@ -37,7 +37,7 @@ from typing import Callable, Iterable, Iterator, TypeVar
 import numpy as np
 
 from repro.errors import TraceFormatError
-from repro.metrics.store import MetricStore
+from repro.metrics.store import MetricStore, valid_utilisation
 from repro.trace import schema
 from repro.trace.records import (
     BatchInstanceRecord,
@@ -147,10 +147,10 @@ class _BulkIngestUnavailable(Exception):
     """Internal: the columnar fast path cannot represent this file.
 
     Raised for anything the bulk decoder does not model exactly — quoted
-    cells, ragged rows, unparsable numerics, empty mandatory cells — so the
-    caller falls back to the row-wise parser, which either handles the
-    construct or raises the proper :class:`TraceFormatError` with a line
-    number.
+    cells, ragged rows, unparsable numerics, empty mandatory cells, a
+    utilisation that is not finite or not in [0, 100] — so the caller
+    falls back to the row-wise parser, which either handles the construct
+    or raises the proper :class:`TraceFormatError` with a line number.
     """
 
 
@@ -201,6 +201,8 @@ def _bulk_usage_store(path: Path) -> MetricStore | None:
                   for i in (2, 3, 4)]
     except ValueError:
         raise _BulkIngestUnavailable("unparsable numeric cell") from None
+    if not all(valid_utilisation(column).all() for column in values):
+        raise _BulkIngestUnavailable("utilisation outside [0, 100]")
     machine_ids = np.char.strip(np.asarray(raw_columns[1], dtype=np.str_))
     if (machine_ids == "").any():
         raise _BulkIngestUnavailable("empty machine id")
@@ -236,14 +238,16 @@ def load_trace(directory: str | Path, *, skip_malformed: bool = False,
 
     Missing table files simply produce empty sections; an entirely empty
     directory raises :class:`TraceFormatError` because nothing could be
-    analysed.
+    analysed.  A utilisation cell outside [0, 100] or not finite raises
+    one naming its line (``skip_malformed=True`` drops the row).
 
     With ``cache=True`` the loader maintains a columnar binary sidecar
     under ``<directory>/.repro-cache/`` (:mod:`repro.trace.cache`): when a
     cache matching the current content hash of the CSVs exists, parsing is
     skipped entirely; otherwise the trace is parsed once and the cache
     (re)written.  The flag never changes the returned bundle — only how
-    fast repeat loads are.
+    fast repeat loads are.  Warm loads do not re-check samples: a sidecar
+    an older build wrote from a bad trace serves it until the CSVs change.
 
     ``mmap=True`` (requires ``cache=True``) serves the dense usage matrix
     as a read-only memory map of the sidecar instead of materialising it:

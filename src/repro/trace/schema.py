@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import TraceFormatError
+from repro.metrics.store import valid_utilisation
 
 
 @dataclass(frozen=True)
@@ -18,7 +19,7 @@ class ColumnSpec:
     """One column of a trace table."""
 
     name: str
-    kind: str  # "int", "float" or "str"
+    kind: str  # "int", "float", "str" or "percent" (a utilisation float)
     nullable: bool = False
 
     def parse(self, raw: str):
@@ -31,8 +32,13 @@ class ColumnSpec:
         try:
             if self.kind == "int":
                 return int(float(text))
-            if self.kind == "float":
-                return float(text)
+            if self.kind in ("float", "percent"):
+                value = float(text)
+                if self.kind == "float" or valid_utilisation(value):
+                    return value
+                raise TraceFormatError(
+                    f"column {self.name!r}: {raw!r} is not a utilisation "
+                    f"(finite, in [0, 100])")
             if self.kind == "str":
                 return text
         except ValueError as exc:
@@ -48,7 +54,7 @@ class ColumnSpec:
             return ""
         if self.kind == "int":
             return str(int(value))
-        if self.kind == "float":
+        if self.kind in ("float", "percent"):
             return f"{float(value):.2f}"
         return str(value)
 
@@ -139,9 +145,9 @@ SERVER_USAGE = TableSchema(
     columns=(
         ColumnSpec("timestamp", "int"),
         ColumnSpec("machine_id", "str"),
-        ColumnSpec("cpu_util", "float"),
-        ColumnSpec("mem_util", "float"),
-        ColumnSpec("disk_util", "float"),
+        ColumnSpec("cpu_util", "percent"),
+        ColumnSpec("mem_util", "percent"),
+        ColumnSpec("disk_util", "percent"),
     ),
 )
 

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.errors import TraceValidationError
+from repro.metrics.store import valid_utilisation
 from repro.trace import schema
 from repro.trace.records import TraceBundle
 
@@ -134,8 +133,9 @@ def _validate_usage(bundle: TraceBundle) -> ValidationReport:
     if store is None or store.num_samples == 0:
         report.warnings.append("server_usage: bundle carries no usage samples")
         return report
-    if np.any(store.data < -1e-9) or np.any(store.data > 100.0 + 1e-9):
-        report.errors.append("server_usage: utilisation values outside [0, 100]")
+    if not valid_utilisation(store.data).all():
+        report.errors.append(
+            "server_usage: utilisation values not finite or outside [0, 100]")
     machine_ids = set(bundle.machine_ids())
     if machine_ids:
         unknown = [mid for mid in store.machine_ids if mid not in machine_ids]

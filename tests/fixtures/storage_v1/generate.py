@@ -74,7 +74,7 @@ def main() -> None:
     payloads = store_to_payloads(bundle.usage, BATCH)
     for payload in payloads:
         tenant.ingest(payload)
-    assert tenant.alert_log, "the tenant must have alerted"
+    assert tenant.session.alerts, "the tenant must have alerted"
     registry.close_all()
 
     (HERE / "fixture.json").write_text(json.dumps({

@@ -166,7 +166,7 @@ class TestDetectCache:
         def boom(*args, **kwargs):
             raise RuntimeError("detector state failed mid-ingest")
 
-        monkeypatch.setattr(tenant.engine, "run_incremental", boom)
+        monkeypatch.setattr(tenant.session.engine, "run_incremental", boom)
         with pytest.raises(ServeError, match="mid-ingest"):
             client.ingest_frames("t1", [float(ts[-1] + 60.0)], frames[:1])
         monkeypatch.undo()

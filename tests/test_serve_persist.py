@@ -379,13 +379,13 @@ class TestIngestRollback:
     def test_failed_apply_rolls_back_the_journal_record(self, tmp_path):
         tenant = self.make_tenant(tmp_path)
         tenant.ingest(self.payload(1))
-        tenant.monitor.catch_up = lambda chunk: (_ for _ in ()).throw(
+        tenant.session.monitor.catch_up = lambda chunk: (_ for _ in ()).throw(
             RuntimeError("injected apply failure"))
         with pytest.raises(RuntimeError, match="injected apply failure"):
             tenant.ingest(self.payload(2))
         assert self.journal_seqs(tenant) == [1], \
             "a never-applied batch stayed in the journal"
-        del tenant.monitor.catch_up   # restore the real bound method
+        del tenant.session.monitor.catch_up   # restore the real bound method
         tenant.ingest(self.payload(2))
         assert self.journal_seqs(tenant) == [1, 2]
         assert tenant._ingest_seq == 2
@@ -400,7 +400,7 @@ class TestIngestRollback:
         orphan record's seq — the tenant must refuse further ingests."""
         tenant = self.make_tenant(tmp_path)
         tenant.ingest(self.payload(1))
-        tenant.monitor.catch_up = lambda chunk: (_ for _ in ()).throw(
+        tenant.session.monitor.catch_up = lambda chunk: (_ for _ in ()).throw(
             RuntimeError("injected apply failure"))
         tenant.persist.journal.rewind = lambda size: (_ for _ in ()).throw(
             OSError("injected rollback failure"))
@@ -497,6 +497,70 @@ class TestFailClosedRecovery:
         assert recovered.alerts(cursor=0) == reference.alerts(cursor=0)
         assert recovered.events() == reference.events()
         assert recovered.summary() == reference.summary()
+
+    def skipped_tenant(self, root):
+        """The reproduction: tenant ``a`` with a flipped snapshot byte,
+        skipped by a restarted registry; returns it and a's files."""
+        registry = self.registry(root)
+        tenant = registry.create({"id": "a", "machines": self.MACHINE_IDS})
+        for payload in self.payloads():
+            tenant.ingest(payload)
+        registry.close_all()
+        self.flip_snapshot(root)
+        tenant_dir = root / "tenants" / "a"
+        files = {path.name: path.read_bytes()
+                 for path in tenant_dir.iterdir()}
+        restarted = self.registry(root)
+        assert restarted.recover() == []
+        assert restarted.skipped == ["a"]
+        return restarted, files
+
+    def test_re_creating_a_skipped_id_keeps_its_files(self, tmp_path):
+        registry, files = self.skipped_tenant(tmp_path)
+        tenant_dir = tmp_path / "tenants" / "a"
+        assert sorted(files) == ["journal.wal", "snapshot.bin", "spec.json"]
+        with pytest.raises(ServeError, match="files are kept") as err:
+            registry.create({"id": "a", "machines": self.MACHINE_IDS})
+        assert str(tenant_dir) in str(err.value)
+        assert registry.ids() == []
+        assert {path.name: path.read_bytes()
+                for path in tenant_dir.iterdir()} == files
+
+        tenant_dir.rename(tmp_path / "a-kept")
+        created = registry.create({"id": "a", "machines": self.MACHINE_IDS})
+        assert created.num_samples == 0
+        assert registry.ids() == ["a"]
+        assert {path.name: path.read_bytes()
+                for path in (tmp_path / "a-kept").iterdir()} == files
+
+    def test_re_creating_a_skipped_id_over_http_is_400(self, tmp_path):
+        import http.client
+
+        from repro.serve import DetectionServer
+
+        _, files = self.skipped_tenant(tmp_path)
+        with DetectionServer(port=0, state_dir=tmp_path) as server:
+            assert server.registry.skipped == ["a"]
+            conn = http.client.HTTPConnection(server.host, server.port,
+                                              timeout=5)
+            try:
+                conn.request("POST", "/tenants", body=json.dumps(
+                    {"id": "a", "machines": self.MACHINE_IDS}).encode(),
+                    headers={"Content-Type": "application/json"})
+                response = conn.getresponse()
+                status, body = response.status, json.loads(response.read())
+            finally:
+                conn.close()
+        assert status == 400, body
+        assert "files are kept" in body["error"]
+        tenant_dir = tmp_path / "tenants" / "a"
+        assert {path.name: path.read_bytes()
+                for path in tenant_dir.iterdir()} == files
+
+    def test_memory_only_registry_has_no_skipped_ids(self):
+        from repro.serve.tenants import TenantRegistry
+
+        assert TenantRegistry().skipped == []
 
     def test_default_id_skips_past_a_skipped_tenant(self, tmp_path):
         registry = self.registry(tmp_path)

@@ -5,7 +5,8 @@ import pytest
 
 from repro.analysis.patterns import Regime
 from repro.errors import SeriesError
-from repro.stream.monitor import MonitorConfig, OnlineMonitor, iter_samples, replay_bundle
+from repro.stream.monitor import MonitorConfig, OnlineMonitor, iter_samples
+from repro.stream.replay import TraceReplayer
 from repro.stream.store import StreamingMetricStore
 
 
@@ -104,14 +105,6 @@ class TestOnlineMonitor:
         assert monitor.current_regime == Regime.SATURATED
         assert regime_alerts[-1].severity == "critical"
 
-    def test_callback_invoked(self):
-        seen = []
-        monitor = OnlineMonitor(["m1"], on_alert=seen.append,
-                                config=MonitorConfig(utilisation_threshold=80.0))
-        monitor.observe(0, {"m1": {"cpu": 10, "mem": 10, "disk": 0}})
-        monitor.observe(60, {"m1": {"cpu": 90, "mem": 10, "disk": 0}})
-        assert seen and seen[0].kind == "threshold"
-
     def test_thrashing_alert_on_collapse(self):
         monitor = OnlineMonitor(["m1"], config=MonitorConfig(thrashing_scan_every=1))
         # healthy phase
@@ -164,18 +157,15 @@ class TestReplay:
         assert set(sample) == set(healthy_bundle.usage.machine_ids)
 
     def test_replay_thrashing_bundle_raises_critical_alerts(self, thrashing_bundle):
-        monitor = replay_bundle(thrashing_bundle,
-                                config=MonitorConfig(thrashing_scan_every=2))
-        kinds = monitor.summary()
+        replayer = TraceReplayer(
+            thrashing_bundle,
+            monitor_config=MonitorConfig(thrashing_scan_every=2))
+        replayer.run_to_end()
+        kinds = replayer.monitor.summary()
         assert kinds.get("threshold", 0) >= 1
         assert kinds.get("thrashing", 0) >= 1
 
     def test_replay_healthy_bundle_is_mostly_quiet(self, healthy_bundle):
-        monitor = replay_bundle(healthy_bundle)
-        assert monitor.summary().get("thrashing", 0) == 0
-
-    def test_replay_requires_usage(self):
-        from repro.trace.records import TraceBundle
-
-        with pytest.raises(SeriesError):
-            replay_bundle(TraceBundle())
+        replayer = TraceReplayer(healthy_bundle)
+        replayer.run_to_end()
+        assert replayer.monitor.summary().get("thrashing", 0) == 0

@@ -7,7 +7,8 @@ import pytest
 
 from repro.errors import SeriesError
 from repro.metrics.store import MetricStore
-from repro.stream.monitor import MonitorConfig, OnlineMonitor, replay_bundle
+from repro.stream.monitor import MonitorConfig, OnlineMonitor
+from repro.stream.session import StreamSession
 from repro.stream.store import StreamingMetricStore
 
 
@@ -161,9 +162,15 @@ class TestCatchUp:
 
 
 class TestBatchReplay:
+    @staticmethod
+    def _replay(bundle, cadence):
+        session = StreamSession(bundle.usage.machine_ids, cadence=cadence)
+        session.ingest(bundle.usage)
+        return session.monitor
+
     def test_replay_bundle_batch_threshold_parity(self, thrashing_bundle):
-        sequential = replay_bundle(thrashing_bundle)
-        batch = replay_bundle(thrashing_bundle, batch=True)
+        sequential = self._replay(thrashing_bundle, "sample")
+        batch = self._replay(thrashing_bundle, "catch-up")
         assert (batch.alerts_of_kind("threshold")
                 == sequential.alerts_of_kind("threshold"))
         # batch mode still lands on a regime assessment

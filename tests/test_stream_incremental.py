@@ -18,6 +18,7 @@ from repro.analysis.engine import DetectionEngine
 from repro.errors import SeriesError
 from repro.pipeline import Pipeline, StreamingOptions, default_detector_names
 from repro.stream.monitor import MonitorConfig, OnlineMonitor
+from repro.stream.session import StreamSession
 from repro.trace.synthetic import generate_trace
 
 from tests.conftest import fast_config
@@ -29,9 +30,14 @@ CHUNKS = (1, 7, 64, None)   # None = the whole trace in one chunk
 
 
 @pytest.fixture(scope="module")
-def stores():
-    return {scenario: generate_trace(fast_config(scenario, seed=SEED)).usage
+def bundles():
+    return {scenario: generate_trace(fast_config(scenario, seed=SEED))
             for scenario in SCENARIOS}
+
+
+@pytest.fixture(scope="module")
+def stores(bundles):
+    return {scenario: bundle.usage for scenario, bundle in bundles.items()}
 
 
 def chunk_bounds(num_samples: int, chunk: int | None):
@@ -137,13 +143,10 @@ class TestEngineIncrementalGolden:
 
 class TestMonitorChunkInvariance:
     def _sample_loop_monitor(self, store, config):
-        from repro.stream.monitor import iter_frames
-
-        monitor = OnlineMonitor(store.machine_ids, config=config,
-                                window_samples=64)
-        for timestamp, frame in iter_frames(store):
-            monitor.observe_frame(timestamp, frame)
-        return monitor
+        session = StreamSession(store.machine_ids, config=config,
+                                window_samples=64, cadence="sample")
+        session.ingest(store)
+        return session.monitor
 
     @pytest.mark.parametrize("chunk", (1, 5, 17, None))
     def test_threshold_alerts_chunk_invariant(self, chunk, stores):
@@ -159,15 +162,15 @@ class TestMonitorChunkInvariance:
         assert chunked._over_threshold == sample_loop._over_threshold
 
     def test_observe_frame_equals_observe_dict(self, stores):
-        from repro.stream.monitor import iter_frames, iter_samples
+        from repro.stream.monitor import iter_samples
 
         store = stores["thrashing"]
         config = MonitorConfig(utilisation_threshold=90.0,
                                thrashing_scan_every=2)
-        dense = OnlineMonitor(store.machine_ids, config=config,
-                              window_samples=64)
-        for timestamp, frame in iter_frames(store):
-            dense.observe_frame(timestamp, frame)
+        session = StreamSession(store.machine_ids, config=config,
+                                window_samples=64, cadence="sample")
+        session.ingest(store)
+        dense = session.monitor
         dicts = OnlineMonitor(store.machine_ids, config=config,
                               window_samples=64)
         for timestamp, sample in iter_samples(store):
@@ -190,6 +193,27 @@ class TestStreamingPipeline:
             assert s_run.result.events() == b_run.result.events()
             assert s_run.result.flagged_machines() \
                 == b_run.result.flagged_machines()
+
+    @pytest.mark.parametrize("scenario",
+                             ("thrashing", "machine-failure+network-storm"))
+    @pytest.mark.parametrize("detector", default_detector_names())
+    def test_sample_cadence_detections_equal_batch(self, scenario, detector,
+                                                   bundles):
+        bundle = bundles[scenario]
+        batch = Pipeline.from_bundle(bundle, detectors=detector,
+                                     sinks=()).run()
+        sample = StreamingOptions(threshold=80.0, cadence="sample")
+        streaming = Pipeline.from_bundle(
+            bundle, detectors=detector, mode="streaming", sinks=(),
+            streaming=sample).run()
+        assert [run.label for run in streaming.detections] \
+            == [run.label for run in batch.detections]
+        for s_run, b_run in zip(streaming.detections, batch.detections):
+            assert s_run.result.events() == b_run.result.events()
+        alerts_only = Pipeline.from_bundle(
+            bundle, plans=(), mode="streaming", sinks=(),
+            streaming=sample).run()
+        assert streaming.alerts == alerts_only.alerts
 
     def test_chunked_threshold_alerts_match_single_catch_up(self, stores):
         store = stores["thrashing"]

@@ -51,13 +51,6 @@ class TestTraceReplayer:
         assert report.checkpoints == (first, second)
         assert second.samples_replayed > first.samples_replayed
 
-    def test_on_sample_callback_invoked(self, healthy_bundle):
-        seen = []
-        replayer = TraceReplayer(healthy_bundle, samples_per_step=2,
-                                 on_sample=lambda ts, frame: seen.append(ts))
-        replayer.step()
-        assert len(seen) == 2
-
     def test_empty_bundle_rejected(self):
         with pytest.raises(SeriesError):
             TraceReplayer(TraceBundle())

@@ -2,10 +2,12 @@
 
 import gzip
 import io
+import shutil
 
 import numpy as np
 import pytest
 
+from repro.config import small_config
 from repro.errors import TraceFormatError
 from repro.trace import loader as loader_module
 from repro.trace import schema
@@ -19,7 +21,9 @@ from repro.trace.loader import (
     load_trace,
     usage_records_to_store,
 )
+from repro.trace.cache import cache_path, usage_path
 from repro.trace.records import ServerUsageRecord
+from repro.trace.synthetic import generate_trace
 from repro.trace.writer import write_table, write_trace
 
 
@@ -81,6 +85,67 @@ class TestLoaderErrors:
         events = load_machine_events(path)
         assert len(events) == 1
         assert events[0].capacity_cpu == 96.0
+
+
+#: Utilisation cells the loader must refuse: not finite, or outside [0, 100].
+BAD_UTILISATION = ("nan", "inf", "1e999", "-5.00", "150.00")
+BAD_LINE = 5
+
+
+@pytest.fixture(scope="module")
+def usage_trace(tmp_path_factory):
+    root = tmp_path_factory.mktemp("usage-trace")
+    write_trace(generate_trace(small_config("thrashing", seed=7)), root)
+    return root
+
+
+def with_bad_cell(source, target, value: str, *, quoted: bool):
+    """Copy a trace dir, setting the cpu cell of line ``BAD_LINE`` to ``value``.
+
+    A quoted cell sends the whole file down the row-wise parser; an
+    unquoted one goes through the columnar fast path first.
+    """
+    shutil.copytree(source, target)
+    path = target / "server_usage.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    cells = lines[BAD_LINE - 1].rstrip("\n").split(",")
+    cells[2] = f'"{value}"' if quoted else value
+    lines[BAD_LINE - 1] = ",".join(cells) + "\n"
+    path.write_text("".join(lines))
+    return path
+
+
+class TestUtilisationCells:
+    @pytest.mark.parametrize("quoted", (False, True),
+                             ids=("columnar", "quoted-row"))
+    @pytest.mark.parametrize("value", BAD_UTILISATION)
+    def test_bad_cell_is_rejected_before_the_sidecar(self, usage_trace,
+                                                     tmp_path, value, quoted):
+        trace = tmp_path / "trace"
+        with_bad_cell(usage_trace, trace, value, quoted=quoted)
+        with pytest.raises(TraceFormatError,
+                           match=f"line {BAD_LINE}: column 'cpu_util'") as err:
+            load_trace(trace, cache=True)
+        assert err.value.table == "server_usage"
+        assert err.value.line_number == BAD_LINE
+        assert not cache_path(trace).exists()
+        assert not usage_path(trace).exists()
+
+    def test_skip_malformed_drops_exactly_that_row(self, usage_trace,
+                                                   tmp_path):
+        path = with_bad_cell(usage_trace, tmp_path / "trace", "nan",
+                             quoted=False)
+        clean = load_server_usage(usage_trace / "server_usage.csv")
+        kept = load_server_usage(path, skip_malformed=True)
+        assert kept == clean[:BAD_LINE - 1] + clean[BAD_LINE:]
+        bundle = load_trace(tmp_path / "trace", skip_malformed=True)
+        assert np.isfinite(bundle.usage.data).all()
+
+    def test_bounds_are_valid(self, tmp_path):
+        path = tmp_path / "server_usage.csv"
+        path.write_text("0,m_1,0,100.00,-0.00\n")
+        assert load_trace(tmp_path).usage.data.tolist() == [
+            [[0.0], [100.0], [0.0]]]
 
 
 class TestPartialTables:

@@ -132,6 +132,12 @@ class TestUsageChecks:
         report = validate_bundle(bundle)
         assert any("outside [0, 100]" in e for e in report.errors)
 
+    def test_nan_usage(self):
+        bundle = minimal_bundle()
+        bundle.usage.data[0, 0, 0] = np.nan
+        report = validate_bundle(bundle)
+        assert any("outside [0, 100]" in e for e in report.errors)
+
     def test_usage_for_unknown_machine(self):
         bundle = minimal_bundle()
         store = MetricStore(["m1", "m_unknown"], np.array([0.0]))
