@@ -7,11 +7,14 @@ pins the two-layer fix on a 512-machine / 288-sample usage table
 
 * a warm cache load (``load_trace(dir, cache=True)`` with the sidecar in
   place) must be at least 5× faster than parsing the CSVs — and that CSV
-  baseline already includes the vectorized bulk-ingest cold path, so the
+  baseline already includes the C-reader bulk-ingest cold path, so the
   bar is honest;
-* the bulk columnar ingest itself is measured against the legacy row-wise
-  parser (reported, not asserted — it is the fallback, not the contract);
-* warm and cold loads return identical bundles.
+* the bulk ingest (NumPy's C tokenizer) must parse at least 4× faster
+  than the row-wise parser it falls back to.  Both sides run the same
+  file on the same host, so the ratio is host-stable enough to gate (CI's
+  ``cold-parse-gate`` job); the row-wise parse stays timed once
+  (``rounds=1``): at one to two seconds it dwarfs timer noise;
+* warm, cold and row-wise loads return identical stores.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from benchmarks.conftest import best_of, record_result, report
 NUM_MACHINES = 512
 NUM_SAMPLES = 288  # 24 h at 300 s resolution
 MIN_WARM_SPEEDUP = 5.0
+MIN_BULK_SPEEDUP = 4.0
 
 
 def usage_only_bundle(seed: int = 2022) -> TraceBundle:
@@ -80,11 +84,12 @@ class TestTraceCacheSpeedup:
         assert np.array_equal(rowwise_store.data, parse_bundle.usage.data)
 
         warm_speedup = parse_s / warm_s
+        bulk_speedup = rowwise_s / parse_s
         report(f"E13: trace cache ({NUM_MACHINES} machines, "
                f"{num_rows} usage rows)", {
                    "row-wise parse (legacy)": f"{rowwise_s * 1e3:.1f} ms",
                    "CSV parse (bulk ingest)": f"{parse_s * 1e3:.1f} ms "
-                       f"({rowwise_s / parse_s:.1f}x over row-wise)",
+                       f"({bulk_speedup:.1f}x over row-wise)",
                    "cold load (parse + cache write)": f"{cold_s * 1e3:.1f} ms",
                    "warm cache load": f"{warm_s * 1e3:.1f} ms "
                                       f"({warm_speedup:.1f}x over parse)",
@@ -94,7 +99,8 @@ class TestTraceCacheSpeedup:
                       throughput_unit="rows/s", num_rows=num_rows)
         record_result("trace_cache/csv_parse", wall_clock_s=parse_s,
                       throughput=num_rows / parse_s,
-                      throughput_unit="rows/s", num_rows=num_rows)
+                      throughput_unit="rows/s",
+                      speedup_vs_rowwise=bulk_speedup, num_rows=num_rows)
         record_result("trace_cache/cold_load", wall_clock_s=cold_s,
                       throughput=num_rows / cold_s,
                       throughput_unit="rows/s", num_rows=num_rows)
@@ -102,6 +108,9 @@ class TestTraceCacheSpeedup:
                       throughput=num_rows / warm_s,
                       throughput_unit="rows/s",
                       speedup_vs_parse=warm_speedup, num_rows=num_rows)
+        assert bulk_speedup >= MIN_BULK_SPEEDUP, (
+            f"bulk CSV parse only {bulk_speedup:.1f}x faster than the "
+            f"row-wise parser (need >= {MIN_BULK_SPEEDUP}x)")
         assert warm_speedup >= MIN_WARM_SPEEDUP, (
             f"warm cache load only {warm_speedup:.1f}x faster than the CSV "
             f"parse (need >= {MIN_WARM_SPEEDUP}x)")

@@ -28,7 +28,10 @@ with a ``Retry-After`` header** — transient conditions a client should
 retry, not argue with — any other :class:`BatchLensError` (bad spec,
 malformed payload) → 400, everything else → 500; the body is always
 ``{"error": message}`` with the exception text verbatim — the same
-actionable messages the CLI prints at exit code 2.
+actionable messages the CLI prints at exit code 2.  Every 5xx is also
+logged on the ``repro.serve.server`` logger: a 500 at ERROR with its
+traceback, a 503 at WARNING without one.  4xx replies (the caller's
+mistake) stay quiet, and there is no access log.
 
 With ``state_dir`` set, every tenant is **durable**
 (:mod:`repro.serve.persist`): specs, a write-ahead frame journal and
@@ -45,6 +48,7 @@ one pool, not N.
 from __future__ import annotations
 
 import json
+import logging
 import threading
 from collections import OrderedDict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -60,6 +64,8 @@ from repro.errors import (
 from repro.pipeline.core import compile_plans
 from repro.serve.persist import DEFAULT_SNAPSHOT_EVERY, ServerStateDir
 from repro.serve.tenants import Tenant, TenantRegistry
+
+_log = logging.getLogger(__name__)
 
 #: Upper bound on one long-poll wait; clients re-arm with their cursor.
 MAX_POLL_WAIT_S = 30.0
@@ -147,7 +153,7 @@ class _Handler(BaseHTTPRequestHandler):
     server: _ServeHTTPServer
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        pass  # the service is quiet; operators watch /health and alerts
+        pass  # no access log; _dispatch logs every 5xx on the module logger
 
     # -- plumbing --------------------------------------------------------------
     def _send_json(self, status: int, body: dict,
@@ -204,10 +210,12 @@ class _Handler(BaseHTTPRequestHandler):
             # socket would read as a hard connection reset.
             status, payload = 503, {"error": str(exc)}
             headers = {"Retry-After": str(max(1, round(exc.retry_after_s)))}
+            _log.warning("%s %s -> 503: %s", method, self.path, exc)
         except BatchLensError as exc:
             status, payload = 400, {"error": str(exc)}
         except Exception as exc:  # noqa: BLE001 - wire boundary
             status, payload = 500, {"error": f"{type(exc).__name__}: {exc}"}
+            _log.exception("%s %s -> 500", method, self.path)
         if self.close_connection:   # this reply ends the connection
             headers = {**(headers or {}), "Connection": "close"}
         self._send_json(status, payload, headers)

@@ -17,7 +17,10 @@ under ``<dir>/.repro-cache/`` as three files:
   zero-copy store view a read-only window into the file instead of RAM —
   detection on clusters bigger than memory pages rows in on demand.  An
   opt-in ``storage="float32"`` dtype halves the file and page-cache
-  footprint;
+  footprint.  The npz header records the ``zlib.crc32`` of its data
+  region (``usage_crc32``): the npz members carry zip CRCs, this sibling
+  does not, so a materialised load checks it (a memory-mapped one does
+  not — checking would page in the whole file);
 * ``stats.json`` — a git-style stat ledger mapping each table file to the
   ``(name, size, mtime_ns)`` it had when its content hash was last
   computed, so warm loads skip re-reading gigabytes just to prove nothing
@@ -43,6 +46,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import zlib
 from pathlib import Path
 from typing import Callable, Mapping
 
@@ -321,6 +325,7 @@ def save_trace_cache(bundle: TraceBundle, directory: str | Path,
         if usage is not None:
             matrix = np.ascontiguousarray(usage.data,
                                           dtype=STORAGE_DTYPES[storage])
+            header["usage_crc32"] = zlib.crc32(matrix)
             write_atomic(matrix_path, lambda handle: np.save(handle, matrix))
         else:
             matrix_path.unlink(missing_ok=True)
@@ -332,10 +337,13 @@ def save_trace_cache(bundle: TraceBundle, directory: str | Path,
     return path
 
 
-def _open_usage_matrix(directory: str | Path, storage: str,
-                       mmap: bool) -> tuple[np.ndarray, MmapBacking | None]:
+def _open_usage_matrix(directory: str | Path, storage: str, mmap: bool,
+                       crc32: int | None
+                       ) -> tuple[np.ndarray, MmapBacking | None]:
     """Open the ``usage.npy`` matrix sidecar (optionally memory-mapped);
-    raises on a missing, truncated or wrong-dtype file."""
+    raises on a missing, truncated or wrong-dtype file, and on a
+    materialised data region whose CRC is not ``crc32`` (``None``, a
+    sidecar written before the header recorded it, skips the check)."""
     path = usage_path(directory)
     stat = os.stat(path)
     matrix = np.load(path, mmap_mode="r" if mmap else None,
@@ -344,6 +352,8 @@ def _open_usage_matrix(directory: str | Path, storage: str,
         raise ValueError(
             f"usage sidecar holds {matrix.dtype}/{matrix.ndim}d, expected "
             f"{storage}/3d")
+    if not mmap and crc32 is not None and zlib.crc32(matrix) != crc32:
+        raise ValueError("usage sidecar data fails its CRC")
     backing = None
     if mmap:
         backing = MmapBacking(
@@ -365,12 +375,18 @@ def load_trace_cache(directory: str | Path, fingerprint: str, *,
     cache written under a different ``storage`` dtype — the caller
     re-parses and rewrites it in the dtype actually requested.
 
+    A materialised matrix (``mmap=False``) is checked against the CRC of
+    its data region recorded in the header, so a flipped byte there reads
+    as absent too; a sidecar without the field (written by an older
+    build) loads unchecked.
+
     With ``mmap=True`` the dense usage matrix is opened with
     ``np.load(mmap_mode="r")`` instead of materialised: the returned
     store's views are read-only windows into ``usage.npy``, and the store
     pickles as a path descriptor (:class:`~repro.metrics.store.MmapBacking`)
     so process-pool shard workers reopen the file rather than receiving
-    array bytes.
+    array bytes.  That mode skips the CRC: checking it would page in the
+    whole file, which is what the mode exists to avoid.
     """
     try:
         header, data = load_npz(cache_path(directory))
@@ -381,7 +397,8 @@ def load_trace_cache(directory: str | Path, fingerprint: str, *,
             return None
         usage = None
         if bool(data["usage:present"][()]):
-            matrix, backing = _open_usage_matrix(directory, storage, mmap)
+            matrix, backing = _open_usage_matrix(
+                directory, storage, mmap, header.get("usage_crc32"))
             usage = MetricStore.from_dense(
                 data["usage:machine_ids"].tolist(),
                 data["usage:timestamps"],

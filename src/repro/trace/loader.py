@@ -10,10 +10,15 @@ Two fast paths keep cold-start load time from dominating cluster-scale
 runs:
 
 * the server-usage table — by far the largest — is ingested **columnar**:
-  the file is split into columns once and each column decoded by one bulk
-  NumPy conversion instead of per-row dicts (bit-identical to the row-wise
-  parser, which remains the fallback for malformed/quoted input and the
-  ``skip_malformed`` mode);
+  its text is read once, checked by whole-text guards (no quote or NUL,
+  four commas per row; blank lines are dropped only when the comma count
+  calls for it) and decoded by NumPy's C tokenizer, ``np.loadtxt``, in
+  two passes (the numeric columns, then the machine ids) instead of
+  per-row dicts or per-cell strings.  The result is bit-identical to the
+  row-wise parser, which stays the fallback for every file the fast path
+  cannot mirror exactly (quoted or NUL-bearing text, ragged rows, cells
+  ``loadtxt`` rejects, invalid values) and for the ``skip_malformed``
+  mode;
 * ``load_trace(directory, cache=True)`` maintains a columnar **binary
   sidecar cache** (:mod:`repro.trace.cache`) keyed by a content hash of
   the CSVs, so repeat loads skip parsing entirely; a stat ledger skips
@@ -154,56 +159,97 @@ class _BulkIngestUnavailable(Exception):
     """
 
 
+#: Field separators in one usage row (five columns, four commas).
+_USAGE_COMMAS = len(schema.SERVER_USAGE.columns) - 1
+
+
+def _usage_lines(path: Path) -> list[str]:
+    """The usage file's data lines, checked by whole-text guards.
+
+    Each guard is one C-level scan.  Rows break on ``\\n``, ``\\r\\n``
+    and a lone ``\\r``, as in the csv module; blank and whitespace-only
+    lines (which the row parser skips) are filtered out only when the
+    comma count says some line is not a four-comma row, so a clean file
+    pays for no filter.  Raises :class:`_BulkIngestUnavailable` on text
+    that is not UTF-8, a quote (csv quoting), a NUL (a NumPy string drops
+    trailing NULs), a line longer than the csv field limit (the row
+    parser raises on such a field) or a comma total other than four per
+    line; a short row beside a long one passes that total, and the
+    caller's row counts catch it.
+    """
+    try:
+        with _open_text(path) as handle:
+            text = handle.read()
+    except UnicodeDecodeError:
+        raise _BulkIngestUnavailable("not UTF-8") from None
+    if '"' in text or "\x00" in text:
+        raise _BulkIngestUnavailable("needs the csv module")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+        if "\r" in text:
+            text = text.replace("\r", "\n")
+    size, commas = len(text), text.count(",")
+    lines = text.split("\n")
+    del text   # the lines hold every character; keep one copy, not two
+    if lines[-1] == "":
+        lines.pop()   # the file's trailing newline ends a row, not a line
+    if commas != _USAGE_COMMAS * len(lines):
+        lines = [line for line in lines if line and not line.isspace()]
+        if commas != _USAGE_COMMAS * len(lines):
+            raise _BulkIngestUnavailable("rows without exactly four commas")
+    limit = csv.field_size_limit()
+    if size > limit and max(map(len, lines)) > limit:
+        raise _BulkIngestUnavailable("a line beyond the csv field limit")
+    return lines
+
+
 def _bulk_usage_store(path: Path) -> MetricStore | None:
     """Columnar ingest of ``server_usage.csv`` (the vectorized cold path).
 
-    Splits the file into columns once and decodes each column with one
-    bulk NumPy conversion — no per-row dicts, no per-cell ``ColumnSpec``
-    dispatch.  Produces a store bit-identical to
-    ``usage_records_to_store(load_server_usage(path))``; raises
-    :class:`_BulkIngestUnavailable` whenever exact equivalence cannot be
-    guaranteed.
+    Reads the text once, checks it with whole-text guards
+    (:func:`_usage_lines`) and decodes it with NumPy's C tokenizer: one
+    ``np.loadtxt`` pass reads the four numeric columns as float64, a
+    second reads the machine ids, and no per-row dicts or per-cell Python
+    strings are built.  The store is bit-identical to
+    ``usage_records_to_store(load_server_usage(path))``: ``loadtxt``
+    parses floats with CPython's parser, ``comments=None`` keeps a ``#``
+    as data, and both passes must return one row per line, which with
+    the comma total pins every row to five cells (``usecols`` alone
+    accepts extra fields).  Raises :class:`_BulkIngestUnavailable`
+    wherever that cannot be guaranteed — a guard, a cell ``loadtxt``
+    rejects (empty, ``1_0``, non-ASCII digits), a timestamp beyond
+    int64, a utilisation not finite or not in [0, 100], an empty id —
+    and the row parser then returns its own store or raises its
+    :class:`TraceFormatError` with the line number.
     """
-    # Read line by line: the peak is the per-cell string list the column
-    # decoder needs anyway, never an extra whole-file text copy on top.
-    # Rows break on \n / \r\n exactly like the csv module; a quote or a
-    # stray \r in a line (the separators str.splitlines() would
-    # over-honour — \f, \v, \x1c-\x1e, \x85, U+2028, U+2029 — likewise
-    # stay in the line) means csv semantics the bulk path cannot mirror,
-    # so those files fall back wholesale.
-    rows: list[list[str]] = []
-    with _open_text(path) as handle:
-        for line in handle:
-            line = line.rstrip("\n")
-            if line.endswith("\r"):
-                line = line[:-1]
-            if not line or line.isspace():
-                continue
-            if '"' in line or "\r" in line:
-                raise _BulkIngestUnavailable("needs the csv module")
-            rows.append(line.split(","))
-    if not rows:
+    lines = _usage_lines(path)
+    if not lines:
         return None
-    columns = tuple(schema.SERVER_USAGE.columns)
-    if any(len(row) != len(columns) for row in rows):
-        raise _BulkIngestUnavailable("ragged rows")
-    raw_columns = list(zip(*rows))
-    del rows   # halve the peak: the transpose duplicates every cell ref
     try:
-        # int columns parse as int(float(text)); astype truncates toward
-        # zero exactly like int() — but only for finite values, so guard.
-        raw_ts = np.asarray(raw_columns[0], dtype=np.float64)
-        if not np.isfinite(raw_ts).all() or np.abs(raw_ts).max() >= 2.0 ** 63:
-            # astype(int64) would wrap instead of raising like int() does
-            raise _BulkIngestUnavailable("timestamps outside int64 range")
-        ts = raw_ts.astype(np.int64).astype(np.float64)
-        values = [np.asarray(raw_columns[i], dtype=np.float64)
-                  for i in (2, 3, 4)]
+        numeric = np.loadtxt(lines, delimiter=",", comments=None,
+                             usecols=(0, 2, 3, 4), ndmin=2)
+        # Checked before the id pass: loadtxt skips an empty line (and
+        # warns about it when reading str), so a short count means one.
+        if len(numeric) != len(lines):
+            raise _BulkIngestUnavailable("blank line among the rows")
+        raw_ids = np.loadtxt(lines, delimiter=",", comments=None,
+                             usecols=(1,), ndmin=1, dtype=np.str_)
     except ValueError:
-        raise _BulkIngestUnavailable("unparsable numeric cell") from None
+        raise _BulkIngestUnavailable("a cell loadtxt cannot parse") from None
+    if len(raw_ids) != len(lines):
+        raise _BulkIngestUnavailable("id pass row count differs")
+    del lines   # the per-line strings go before the tail allocates
+    # int columns parse as int(float(text)); astype truncates toward zero
+    # exactly like int() — but only for finite values, so guard.
+    raw_ts = numeric[:, 0]
+    if not np.isfinite(raw_ts).all() or np.abs(raw_ts).max() >= 2.0 ** 63:
+        # astype(int64) would wrap instead of raising like int() does
+        raise _BulkIngestUnavailable("timestamps outside int64 range")
+    ts = raw_ts.astype(np.int64).astype(np.float64)
+    values = [numeric[:, i] for i in (1, 2, 3)]
     if not all(valid_utilisation(column).all() for column in values):
         raise _BulkIngestUnavailable("utilisation outside [0, 100]")
-    machine_ids = np.char.strip(np.asarray(raw_columns[1], dtype=np.str_))
+    machine_ids = np.char.strip(raw_ids)
     if (machine_ids == "").any():
         raise _BulkIngestUnavailable("empty machine id")
     timestamps = np.unique(ts)

@@ -7,7 +7,9 @@ sleeps anywhere in the suite.
 
 from __future__ import annotations
 
+import http.client
 import json
+import logging
 import threading
 import time
 
@@ -469,6 +471,61 @@ class TestServerLifecycle:
             with pytest.raises(ServeError, match="draining"):
                 client.create_tenant({"machines": MACHINES})
         server.close()
+
+
+class TestErrorLogging:
+    """Every 5xx the service answers is logged; 4xx replies stay quiet."""
+
+    @staticmethod
+    def status_of(server, method: str, path: str) -> int:
+        conn = http.client.HTTPConnection(server.host, server.port,
+                                          timeout=10.0)
+        try:
+            conn.request(method, path)
+            response = conn.getresponse()
+            response.read()
+            return response.status
+        finally:
+            conn.close()
+
+    @staticmethod
+    def server_records(caplog):
+        return [record for record in caplog.records
+                if record.name == "repro.serve.server"]
+
+    def test_handler_exception_logs_one_error_with_traceback(
+            self, monkeypatch, caplog):
+        with DetectionServer(port=0) as server:
+            def boom():
+                raise RuntimeError("registry exploded")
+
+            monkeypatch.setattr(server.registry, "ids", boom)
+            with caplog.at_level(logging.DEBUG, logger="repro.serve.server"):
+                assert self.status_of(server, "GET", "/tenants") == 500
+        records = self.server_records(caplog)
+        assert len(records) == 1
+        record = records[0]
+        assert record.levelno == logging.ERROR
+        assert "GET /tenants" in record.getMessage()
+        assert record.exc_info is not None
+        assert "registry exploded" in str(record.exc_info[1])
+
+    def test_unavailable_logs_one_warning_without_traceback(self, caplog):
+        with DetectionServer(port=0) as server:
+            server.registry.close_all()
+            with caplog.at_level(logging.DEBUG, logger="repro.serve.server"):
+                assert self.status_of(server, "POST", "/tenants") == 503
+        records = self.server_records(caplog)
+        assert [record.levelno for record in records] == [logging.WARNING]
+        assert "POST /tenants" in records[0].getMessage()
+        assert records[0].exc_info is None
+
+    def test_client_errors_log_nothing(self, caplog):
+        with DetectionServer(port=0) as server:
+            with caplog.at_level(logging.DEBUG, logger="repro.serve.server"):
+                assert self.status_of(server, "GET", "/tenants/nope") == 404
+                assert self.status_of(server, "GET", "/no-such-route") == 400
+        assert self.server_records(caplog) == []
 
 
 class TestPoisonedTimestamps:

@@ -10,15 +10,23 @@ back to it for anything it cannot represent exactly.
 
 from __future__ import annotations
 
+import csv
+import gzip
+import warnings
+import zlib
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import TraceFormatError
+from repro.storage import load_npz, save_npz
 from repro.trace import cache as trace_cache
 from repro.trace.loader import (
     _bulk_usage_store,
+    _BulkIngestUnavailable,
     load_server_usage,
     load_trace,
     usage_records_to_store,
@@ -223,9 +231,9 @@ class TestCacheCorruption:
 
         A flip that makes NumPy's header parser raise something unusual
         (``tokenize.TokenError`` when the header length byte grows) must
-        still read as absent, so the load re-parses the CSVs.  Not
-        covered, and not claimed: ``usage.npy``'s data region carries no
-        checksum, so a flip there is served as a different value.
+        still read as absent, so the load re-parses the CSVs.  The data
+        region is covered by the CRC the npz header records
+        (:meth:`test_usage_data_flip_reparses`).
         """
         directory, _, cold, pristine = sidecar
         raw = pristine[trace_cache.usage_path(directory)]
@@ -237,6 +245,52 @@ class TestCacheCorruption:
             mutated[position] ^= 0x80
             trace_cache.usage_path(directory).write_bytes(bytes(mutated))
             assert_bundles_identical(load_trace(directory, cache=True), cold)
+
+    def test_usage_data_flip_reparses(self, sidecar):
+        """About 50 evenly spaced bytes of ``usage.npy``'s data region,
+        flipped in turn: each must fail the recorded CRC and read as
+        absent, never be served as a different sample value."""
+        directory, _, cold, pristine = sidecar
+        raw = pristine[trace_cache.usage_path(directory)]
+        data_start = 10 + int.from_bytes(raw[8:10], "little")
+        step = max(1, (len(raw) - data_start) // 50)
+        for position in range(data_start, len(raw), step):
+            self.restore(pristine)
+            mutated = bytearray(raw)
+            mutated[position] ^= 0x01
+            trace_cache.usage_path(directory).write_bytes(bytes(mutated))
+            assert_bundles_identical(load_trace(directory, cache=True), cold)
+
+    def test_mmap_load_skips_the_crc(self, sidecar, monkeypatch):
+        """Checking the CRC would page in the whole file, which a
+        memory-mapped load exists to avoid."""
+        directory, _, cold, pristine = sidecar
+        self.restore(pristine)
+        calls = []
+
+        def counting(data):
+            calls.append(1)
+            return zlib.crc32(data)
+
+        monkeypatch.setattr(trace_cache, "zlib",
+                            SimpleNamespace(crc32=counting))
+        served = load_trace(directory, cache=True, mmap=True)
+        assert not calls
+        assert np.array_equal(served.usage.data, cold.usage.data)
+        load_trace(directory, cache=True)
+        assert calls == [1]
+
+    def test_sidecar_without_crc_loads_unchecked(self, sidecar):
+        """A header an older build wrote, without ``usage_crc32``."""
+        directory, fingerprint, cold, pristine = sidecar
+        self.restore(pristine)
+        path = trace_cache.cache_path(directory)
+        header, arrays = load_npz(path)
+        assert "usage_crc32" in header
+        del header["usage_crc32"]
+        save_npz(path, header, arrays)
+        served = trace_cache.load_trace_cache(directory, fingerprint)
+        assert_bundles_identical(served, cold)
 
 
 class TestStatLedger:
@@ -395,6 +449,168 @@ class TestBulkIngest:
             "0,m_1,add,,96,512,4096\n")
         bundle = load_trace(tmp_path)
         assert bundle.usage is None
+
+
+#: Cell renderings of a utilisation value (the row parser takes float()).
+_VALUE_FORMS = ("repr", "%.2f", "%.17g", "%e", "short")
+_PADS = ("", " ", "\t", " \t")
+_BLANKS = ("", " ", "\t", "  \t ")
+#: One poison per file at most: each is a construct the C reader must
+#: either mirror exactly or refuse, so the row parser decides.
+_POISONS = ("quote", "1_0", "nan", "inf", "1e999", "-5", "150", "empty",
+            "extra comma", "missing comma", "hash id", "\x0b", "\x0c",
+            "bom")
+
+
+def _render_value(value: float, form: str, plus: bool, zeros: bool) -> str:
+    if form == "repr":
+        text = repr(value)
+    elif form == "short":   # the ".5" / "5." forms
+        text = "%.2f" % value
+        if text.startswith("0."):
+            text = text[1:]
+        elif text.endswith(".00"):
+            text = text[:-2]
+    else:
+        text = form % value
+    if zeros and text[:1].isdigit():
+        text = "00" + text
+    if plus and not text.startswith("-"):
+        text = "+" + text
+    return text
+
+
+@st.composite
+def usage_files(draw):
+    """``(file name, raw bytes)`` of one drawn ``server_usage`` file."""
+    ids = draw(st.lists(st.text("am_17", min_size=1, max_size=4),
+                        min_size=1, max_size=6, unique=True))
+    timestamps = draw(st.lists(
+        st.one_of(st.integers(0, 10 ** 6).map(str),
+                  st.floats(0, 1e6, allow_nan=False).map(repr),
+                  st.floats(0, 1e6, allow_nan=False).map("%.1f".__mod__)),
+        min_size=1, max_size=8))
+    value = st.tuples(
+        st.one_of(st.sampled_from([0.0, -0.0, 100.0, 0.5, 5.0]),
+                  st.floats(0, 100)),
+        st.sampled_from(_VALUE_FORMS), st.booleans(), st.booleans())
+    pad = st.sampled_from(_PADS)
+    rows = []
+    for _ in range(draw(st.integers(1, 16))):
+        cells = [draw(st.sampled_from(timestamps)), draw(st.sampled_from(ids))]
+        cells += [_render_value(*draw(value)) for _ in range(3)]
+        rows.append([draw(pad) + cell + draw(pad) for cell in cells])
+    poison = draw(st.sampled_from(_POISONS)) if draw(
+        st.integers(0, 4)) == 0 else None
+    if poison is not None:
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        column = draw(st.integers(0, 4))
+        if poison == "quote":
+            row[1] = '"' + row[1].strip() + '"'
+        elif poison in ("1_0", "nan", "inf", "1e999", "-5", "150"):
+            row[column if column != 1 else 2] = poison
+        elif poison == "empty":
+            row[column] = draw(st.sampled_from(["", " "]))
+        elif poison == "extra comma":
+            row.append(draw(st.sampled_from(["", "7"])))
+        elif poison == "missing comma":
+            del row[column]
+        elif poison == "hash id":
+            row[1] = row[1] + "#x"
+        elif poison in ("\x0b", "\x0c"):
+            cell = row[column]
+            at = draw(st.integers(0, len(cell)))
+            row[column] = cell[:at] + poison + cell[at:]
+    lines = [",".join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from(_BLANKS)))
+    ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = ending.join(lines) + (ending if draw(st.booleans()) else "")
+    if poison == "bom":
+        text = "\ufeff" + text
+    raw = text.encode("utf-8")
+    if draw(st.booleans()):
+        return "server_usage.csv.gz", gzip.compress(raw)
+    return "server_usage.csv", raw
+
+
+def _outcome(load):
+    """A load's store, or the type and text of what it raised."""
+    try:
+        return load()
+    except Exception as exc:   # noqa: BLE001 - compared, not handled
+        return type(exc), str(exc)
+
+
+def assert_stores_identical(left, right) -> None:
+    if left is None or right is None:
+        assert left is right
+        return
+    assert left.machine_ids == right.machine_ids
+    assert left.metrics == right.metrics
+    assert np.array_equal(left.timestamps, right.timestamps)
+    assert np.array_equal(left.data, right.data)
+    assert np.array_equal(np.signbit(left.data), np.signbit(right.data))
+
+
+class TestBulkIngestMatchesRowParser:
+    """The C-reader fast path returns the row parser's store or steps aside.
+
+    Pins the contract, not the speed: for every drawn file the fast path
+    either returns the store ``usage_records_to_store(load_server_usage())``
+    returns, or raises :class:`_BulkIngestUnavailable`; and ``load_trace``
+    returns that store, or raises what the row parser raises.
+    """
+
+    @settings(max_examples=80, deadline=None)
+    @given(drawn=usage_files())
+    # Pinned files the drawn ones reach rarely: loadtxt's usecols accepts
+    # an extra field, and skips an empty line that the comma total beside
+    # a long row hides; a "#" would start a comment without comments=None.
+    @example(drawn=("server_usage.csv", b"0,m,1,2,3,\n"))
+    @example(drawn=("server_usage.csv", b"0,m,1,2,3,4,5,6,7\n\n"))
+    @example(drawn=("server_usage.csv", b"0,m,1,2,3#x\n"))
+    def test_fast_path_equals_row_parser(self, tmp_path_factory, drawn):
+        name, raw = drawn
+        directory = tmp_path_factory.mktemp("usage")
+        path = directory / name
+        path.write_bytes(raw)
+        rowwise = _outcome(lambda: usage_records_to_store(
+            load_server_usage(path)))
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")   # loadtxt's blank-line one
+                bulk = _bulk_usage_store(path)
+        except _BulkIngestUnavailable:
+            pass
+        else:
+            assert not isinstance(rowwise, tuple), rowwise
+            assert_stores_identical(bulk, rowwise)
+        loaded = _outcome(lambda: load_trace(directory).usage)
+        if isinstance(rowwise, tuple):
+            assert loaded == rowwise
+        else:
+            assert not isinstance(loaded, tuple), loaded
+            assert_stores_identical(loaded, rowwise)
+
+    def test_trailing_nul_in_an_id_falls_back(self, tmp_path):
+        """A NumPy string drops trailing NULs; the csv module keeps them."""
+        path = tmp_path / "server_usage.csv"
+        path.write_text("0,m_1\x00,10,20,30\n")
+        with pytest.raises(_BulkIngestUnavailable):
+            _bulk_usage_store(path)
+        assert load_trace(tmp_path).usage.machine_ids == ["m_1\x00"]
+
+    def test_field_beyond_csv_limit_raises_like_row_parser(self, tmp_path):
+        """The csv module refuses a field longer than its field limit."""
+        path = tmp_path / "server_usage.csv"
+        path.write_text("0,m_1,10,20,30\n0,%s,10,20,30\n"
+                        % ("m" * (csv.field_size_limit() + 1)))
+        with pytest.raises(_BulkIngestUnavailable):
+            _bulk_usage_store(path)
+        with pytest.raises(csv.Error):
+            load_trace(tmp_path)
 
 
 class TestPipelineAndSpecIntegration:
