@@ -26,6 +26,15 @@ under ``<dir>/.repro-cache/`` as three files:
   computed, so warm loads skip re-reading gigabytes just to prove nothing
   changed (:func:`resolve_fingerprint`).
 
+A warm load (:func:`load_trace_cache`) decodes every npz member when it
+runs, and checks the header, the ``usage.npy`` CRC and each record
+table's column and null-mask lengths, so every defect reads as absent
+before it returns.  Only the record objects wait: each scheduler table
+reaches the bundle as a :class:`~repro.trace.records.RecordColumns`, and
+the first read of ``bundle.machine_events``, ``.tasks`` or ``.instances``
+builds its list.  A cluster-wide detect reads only the usage matrix and
+builds no record.
+
 The cache is keyed by a **content hash** of the table files
 (:func:`trace_fingerprint`): edit, replace or re-compress any CSV and the
 fingerprint changes, the stale cache is ignored, and the next parse
@@ -48,19 +57,14 @@ import json
 import os
 import zlib
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
 from repro.metrics.store import MetricStore, MmapBacking
 from repro.storage import load_npz, save_npz, write_atomic
 from repro.trace import schema
-from repro.trace.records import (
-    BatchInstanceRecord,
-    BatchTaskRecord,
-    MachineEvent,
-    TraceBundle,
-)
+from repro.trace.records import RecordColumns, TraceBundle
 
 #: Bump when the array layout changes; old caches are silently re-built.
 #: v2 moved the dense usage matrix out of the npz into a mmap-able
@@ -75,12 +79,6 @@ LEDGER_FILENAME = "stats.json"
 #: halves the file and page-cache footprint; the goldens pin verdict
 #: parity on the registered scenarios.
 STORAGE_DTYPES = {"float64": np.float64, "float32": np.float32}
-
-_FACTORIES: dict[str, Callable[[dict], object]] = {
-    "machine_events": MachineEvent.from_row,
-    "batch_task": BatchTaskRecord.from_row,
-    "batch_instance": BatchInstanceRecord.from_row,
-}
 
 _NULL_SUFFIX = "#null"
 
@@ -248,30 +246,26 @@ def _column_arrays(name: str, records: list) -> dict[str, np.ndarray]:
     return arrays
 
 
-def _records_from_arrays(name: str, data) -> list:
-    """Rebuild one table's typed records from its columnar arrays.
+def _record_columns(name: str, data) -> RecordColumns:
+    """One table's columnar arrays, checked, as a :class:`RecordColumns`.
 
-    Raises when the columns disagree on row count: ``zip`` would otherwise
-    silently truncate a damaged cache to its shortest column.
+    Raises when a null mask or a column disagrees on row count: ``zip``
+    would otherwise silently truncate a damaged cache to its shortest
+    column.  Every defect surfaces here, while the cache is read; the
+    records themselves are built on the table's first read.
     """
-    table = schema.SCHEMAS[name]
-    columns: list[list] = []
-    for column in table.columns:
+    columns = []
+    for column in schema.SCHEMAS[name].columns:
         key = f"{name}:{column.name}"
-        values = data[key].tolist()
-        if column.nullable:
-            nulls = data[key + _NULL_SUFFIX].tolist()
-            if len(nulls) != len(values):
-                raise ValueError(f"cache table {name}: null-mask length "
-                                 f"mismatch on {column.name}")
-            values = [None if null else value
-                      for value, null in zip(values, nulls)]
-        columns.append(values)
-    if len({len(column) for column in columns}) > 1:
+        values = data[key]
+        nulls = data[key + _NULL_SUFFIX] if column.nullable else None
+        if nulls is not None and len(nulls) != len(values):
+            raise ValueError(f"cache table {name}: null-mask length "
+                             f"mismatch on {column.name}")
+        columns.append((values, nulls))
+    if len({len(values) for values, _ in columns}) > 1:
         raise ValueError(f"cache table {name}: column lengths disagree")
-    factory = _FACTORIES[name]
-    names = table.column_names
-    return [factory(dict(zip(names, row))) for row in zip(*columns)]
+    return RecordColumns(name, tuple(columns))
 
 
 def save_trace_cache(bundle: TraceBundle, directory: str | Path,
@@ -387,6 +381,10 @@ def load_trace_cache(directory: str | Path, fingerprint: str, *,
     so process-pool shard workers reopen the file rather than receiving
     array bytes.  That mode skips the CRC: checking it would page in the
     whole file, which is what the mode exists to avoid.
+
+    The record tables come back as checked
+    :class:`~repro.trace.records.RecordColumns`, built into their record
+    lists on first read (see :class:`~repro.trace.records.TraceBundle`).
     """
     try:
         header, data = load_npz(cache_path(directory))
@@ -407,9 +405,9 @@ def load_trace_cache(directory: str | Path, fingerprint: str, *,
             if backing is not None:
                 usage._attach_backing(backing)
         return TraceBundle(
-            machine_events=_records_from_arrays("machine_events", data),
-            tasks=_records_from_arrays("batch_task", data),
-            instances=_records_from_arrays("batch_instance", data),
+            machine_events=_record_columns("machine_events", data),
+            tasks=_record_columns("batch_task", data),
+            instances=_record_columns("batch_instance", data),
             usage=usage,
             meta=dict(header.get("meta", {})),
         )

@@ -294,6 +294,10 @@ def load_trace(directory: str | Path, *, skip_malformed: bool = False,
     (re)written.  The flag never changes the returned bundle — only how
     fast repeat loads are.  Warm loads do not re-check samples: a sidecar
     an older build wrote from a bad trace serves it until the CSVs change.
+    A warm load decodes the usage store and checks every record column
+    before it returns; the scheduler-table records (``machine_events``,
+    ``tasks``, ``instances``) are built on the first read of each field,
+    so a run that reads only ``usage`` never builds them.
 
     ``mmap=True`` (requires ``cache=True``) serves the dense usage matrix
     as a read-only memory map of the sidecar instead of materialising it:

@@ -7,6 +7,7 @@ table as a dense :class:`~repro.metrics.store.MetricStore`.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -145,9 +146,89 @@ class ServerUsageRecord:
                 {"cpu": self.cpu_util, "mem": self.mem_util, "disk": self.disk_util})
 
 
+#: The row factory of each record table, by schema table name.
+_FROM_ROW = {
+    "machine_events": MachineEvent.from_row,
+    "batch_task": BatchTaskRecord.from_row,
+    "batch_instance": BatchInstanceRecord.from_row,
+}
+
+
+@dataclass(frozen=True, eq=False)
+class RecordColumns:
+    """One record table held as columns, built into records on first read.
+
+    ``columns`` holds one ``(values, nulls)`` pair per schema column of
+    ``table``, in schema order: ``values`` is a 1-d array and ``nulls``
+    its boolean null mask (``None`` for a non-nullable column).  Whoever
+    builds one has checked that all the arrays have the same length, so
+    :meth:`records` cannot fail: it converts the values to Python objects
+    and calls the table's ``from_row`` factory, row by row, in order.
+    """
+
+    table: str
+    columns: tuple
+
+    def records(self) -> list:
+        """The table's typed records, one per row."""
+        factory = _FROM_ROW[self.table]
+        names = schema.SCHEMAS[self.table].column_names
+        columns: list[list] = []
+        for values, nulls in self.columns:
+            values = values.tolist()
+            if nulls is not None:
+                values = [None if null else value
+                          for value, null in zip(values, nulls.tolist())]
+            columns.append(values)
+        return [factory(dict(zip(names, row))) for row in zip(*columns)]
+
+
+#: Held while a record table is built, so two first reads of one field
+#: store one list, not two.
+_BUILD_LOCK = threading.Lock()
+
+
+class _RecordTable:
+    """Data descriptor behind each record-table field of :class:`TraceBundle`.
+
+    The field holds a list, or a :class:`RecordColumns` that its first
+    read replaces with the built list; every later read and every
+    mutation sees that one list.
+    """
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+    def __get__(self, bundle, owner=None):
+        if bundle is None:
+            return self
+        fields = vars(bundle)
+        value = fields[self.name]
+        if isinstance(value, RecordColumns):
+            with _BUILD_LOCK:
+                value = fields[self.name]
+                if isinstance(value, RecordColumns):
+                    value = fields[self.name] = value.records()
+        return value
+
+    def __set__(self, bundle, value) -> None:
+        vars(bundle)[self.name] = value
+
+
 @dataclass
 class TraceBundle:
-    """An in-memory Alibaba-style trace: three record tables + usage store."""
+    """An in-memory Alibaba-style trace: three record tables + usage store.
+
+    Each record table (``machine_events``, ``tasks``, ``instances``) is a
+    list of typed records.  A warm :func:`~repro.trace.loader.load_trace`
+    passes each as a :class:`RecordColumns` instead: the sidecar's columns,
+    checked when the cache was read, which the first read of the field
+    builds into the list (same factories, same order) and stores.  A run
+    that reads only ``usage`` never builds a record.  Equality, ``repr``
+    and :func:`dataclasses.replace` read the fields, so they see the
+    lists; ``copy`` and ``pickle`` carry a table not read yet as its
+    columns, and the copy builds the same list on its own first read.
+    """
 
     machine_events: list[MachineEvent] = field(default_factory=list)
     tasks: list[BatchTaskRecord] = field(default_factory=list)
@@ -280,3 +361,10 @@ class TraceBundle:
             "end": end,
             "scenario": self.meta.get("scenario"),
         }
+
+
+# Set after @dataclass: a descriptor in the class body would become the
+# fields' default value.
+TraceBundle.machine_events = _RecordTable("machine_events")
+TraceBundle.tasks = _RecordTable("tasks")
+TraceBundle.instances = _RecordTable("instances")

@@ -41,7 +41,8 @@ class ColumnSpec:
                     f"(finite, in [0, 100])")
             if self.kind == "str":
                 return text
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
+            # int(float("inf")) and int(float("1e999")) overflow
             raise TraceFormatError(
                 f"column {self.name!r}: cannot parse {raw!r} as {self.kind}") from exc
         raise TraceFormatError(f"column {self.name!r} has unknown kind {self.kind!r}")

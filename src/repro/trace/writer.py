@@ -41,7 +41,9 @@ def write_table(path: str | Path, table: schema.TableSchema,
     path.parent.mkdir(parents=True, exist_ok=True)
     count = 0
     with _open_out(path) as handle:
-        writer = csv.writer(handle)
+        # "\n", not the csv default "\r\n": the loader's columnar usage
+        # parse then skips a whole-text newline rewrite
+        writer = csv.writer(handle, lineterminator="\n")
         for row in rows:
             writer.writerow(table.format_row(row))
             count += 1

@@ -10,10 +10,17 @@ back to it for anything it cannot represent exactly.
 
 from __future__ import annotations
 
+import copy
 import csv
+import dataclasses
 import gzip
+import pickle
+import shutil
+import sys
+import threading
 import warnings
 import zlib
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,7 +28,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.cli import main
+from repro.config import ClusterConfig, TraceConfig, UsageConfig
 from repro.errors import TraceFormatError
+from repro.pipeline import Pipeline
 from repro.storage import load_npz, save_npz
 from repro.trace import cache as trace_cache
 from repro.trace.loader import (
@@ -31,7 +41,17 @@ from repro.trace.loader import (
     load_trace,
     usage_records_to_store,
 )
+from repro.trace.records import (
+    BatchInstanceRecord,
+    BatchTaskRecord,
+    MachineEvent,
+    RecordColumns,
+)
+from repro.trace.synthetic import generate_trace
 from repro.trace.writer import write_trace
+
+#: The record-table fields of a bundle.
+TABLES = ("machine_events", "tasks", "instances")
 
 
 def assert_bundles_identical(left, right) -> None:
@@ -190,6 +210,173 @@ class TestCacheInvalidation:
         bundle.meta["handle"] = object()   # not JSON-serialisable
         assert trace_cache.save_trace_cache(bundle, trace_dir, "f" * 64) is None
         assert not trace_cache.cache_path(trace_dir).exists()
+
+
+@pytest.fixture(scope="module")
+def perf_bundle():
+    """perfbench's offline scenario, at 16 machines × 6 h instead of
+    256 × 24 h; the workload is the same 98 tasks and 957 instances."""
+    return generate_trace(TraceConfig(
+        cluster=ClusterConfig(num_machines=16),
+        usage=UsageConfig(resolution_s=300), horizon_s=6 * 3600,
+        scenario="hotjob+network-storm+machine-failure", seed=1))
+
+
+@pytest.fixture()
+def perf_trace(tmp_path, perf_bundle):
+    write_trace(perf_bundle, tmp_path / "trace")
+    return tmp_path / "trace"
+
+
+def forbid_record_builds(monkeypatch) -> None:
+    """Make building any scheduler-table record raise.
+
+    Every ``from_row`` ends in the record's ``__init__``, so this also
+    catches a factory table that captured the bound ``from_row`` methods
+    at import.
+    """
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"built a {type(self).__name__}")
+
+    for record in (MachineEvent, BatchTaskRecord, BatchInstanceRecord):
+        monkeypatch.setattr(record, "__init__", refuse)
+
+
+class TestLazyRecordTables:
+    """A warm load checks the record columns up front and builds each
+    table's records on its first read: a run that never reads a table
+    builds none, and every reader sees the bundle the cold parse gives."""
+
+    @pytest.fixture(params=("perfbench-shaped", "storage_v1"))
+    def warm_and_cold(self, request, tmp_path, perf_bundle):
+        """(a warm bundle whose tables are not read yet, the cold parse)."""
+        directory = tmp_path / "trace"
+        if request.param == "storage_v1":
+            fixture = Path(__file__).resolve().parent / "fixtures"
+            shutil.copytree(fixture / "storage_v1" / "trace", directory)
+        else:
+            write_trace(perf_bundle, directory)
+            load_trace(directory, cache=True)
+        warm = load_trace(directory, cache=True)
+        assert all(isinstance(vars(warm)[name], RecordColumns)
+                   for name in TABLES)
+        return warm, load_trace(directory)
+
+    def test_warm_detect_builds_no_record(self, perf_trace, capsys,
+                                          monkeypatch):
+        argv = ["detect", str(perf_trace), "--cache"]
+        assert main(argv) == 0   # the cold fill
+        capsys.readouterr()
+        assert main(argv) == 0
+        unpatched = capsys.readouterr().out
+        forbid_record_builds(monkeypatch)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == unpatched
+
+    def test_warm_pipeline_builds_no_record(self, perf_trace, monkeypatch):
+        spec = {"source": {"kind": "trace-dir", "path": str(perf_trace),
+                           "cache": True},
+                "sinks": ["score"]}
+        cold = Pipeline.from_spec(spec).run()
+        forbid_record_builds(monkeypatch)
+        warm = Pipeline.from_spec(spec).run()
+        assert warm.events() == cold.events()
+        assert warm.scores == cold.scores
+
+    def test_warm_equals_cold(self, warm_and_cold):
+        warm, cold = warm_and_cold
+        assert_bundles_identical(warm, cold)
+        eager = dataclasses.replace(cold, usage=warm.usage)
+        assert warm == eager
+        assert repr(warm) == repr(eager)
+
+    @pytest.mark.parametrize("clone", (
+        lambda bundle: pickle.loads(pickle.dumps(bundle)),
+        copy.deepcopy,
+        lambda bundle: dataclasses.replace(bundle, meta=dict(bundle.meta)),
+    ), ids=("pickle", "deepcopy", "replace"))
+    def test_copies_equal_cold(self, warm_and_cold, clone):
+        warm, cold = warm_and_cold
+        assert_bundles_identical(clone(warm), cold)
+        assert_bundles_identical(warm, cold)
+        # and a copy of a bundle whose tables were read
+        assert_bundles_identical(clone(warm), cold)
+
+    def test_mutation_after_first_read_is_kept(self, warm_and_cold):
+        warm, cold = warm_and_cold
+        instance = dataclasses.replace(cold.instances[0], job_id="j_new")
+        warm.instances.append(instance)
+        warm.tasks[0] = dataclasses.replace(cold.tasks[0], status="Failed")
+        assert warm.instances[-1] is instance
+        assert warm.instances[:-1] == cold.instances
+        assert warm.tasks[0].status == "Failed"
+        assert pickle.loads(pickle.dumps(warm)).instances[-1] == instance
+
+    def test_summary_equals_cold(self, warm_and_cold):
+        warm, cold = warm_and_cold
+        assert warm.summary() == cold.summary()
+
+    def test_concurrent_first_reads_share_one_list(self, warm_and_cold):
+        warm, cold = warm_and_cold
+        readers = 8
+        barrier = threading.Barrier(readers)
+        seen = []
+
+        def read():
+            barrier.wait(timeout=10)
+            seen.append(warm.instances)
+
+        threads = [threading.Thread(target=read) for _ in range(readers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(seen) == readers
+        assert all(table is warm.instances for table in seen)
+        assert warm.instances == cold.instances
+
+    def test_short_null_mask_reads_as_absent_at_load(self, perf_trace):
+        """A defect surfaces while the cache is read, never at first
+        access: a null mask one short of its column re-parses."""
+        cold = load_trace(perf_trace, cache=True)
+        path = trace_cache.cache_path(perf_trace)
+        header, arrays = load_npz(path)
+        key = "batch_instance:cpu_avg#null"
+        arrays[key] = arrays[key][:-1]
+        save_npz(path, header, arrays)
+        assert trace_cache.load_trace_cache(
+            perf_trace, trace_cache.directory_fingerprint(perf_trace)) is None
+        assert_bundles_identical(load_trace(perf_trace, cache=True), cold)
+
+    @pytest.mark.parametrize("options", (
+        {}, {"mmap": True}, {"storage": "float32"}), ids=("ram", "mmap",
+                                                          "float32"))
+    def test_cluster_detectors_read_the_lazy_tables(self, perf_trace,
+                                                    options):
+        """``sync_break`` reads instances through ``BatchHierarchy``."""
+        cold = load_trace(perf_trace)
+        source = {"kind": "trace-dir", "path": str(perf_trace),
+                  "cache": True, **options}
+        Pipeline.from_spec({"source": source, "sinks": []}).run()
+        warm = load_trace(perf_trace, cache=True, **options)
+        assert isinstance(vars(warm)["instances"], RecordColumns)
+        stack = "sync_break+threshold"
+        lazy = Pipeline.from_bundle(warm, detectors=stack).run()
+        eager = Pipeline.from_bundle(
+            dataclasses.replace(cold, usage=warm.usage), detectors=stack).run()
+        spec = Pipeline.from_spec({"source": source, "detectors": stack,
+                                   "sinks": []}).run()
+        assert lazy.detections[0].result.num_events > 0
+        for run in (lazy, spec):
+            assert run.events() == eager.events()
+            for left, right in zip(run.detections, eager.detections):
+                assert np.array_equal(left.result.mask, right.result.mask)
 
 
 class TestCacheCorruption:

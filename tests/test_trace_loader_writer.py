@@ -7,6 +7,7 @@ import shutil
 import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.config import small_config
 from repro.errors import TraceFormatError
 from repro.trace import loader as loader_module
@@ -48,6 +49,38 @@ class TestRoundTrip:
         assert (tmp_path / "batch_task.csv.gz").exists()
         loaded = load_trace(tmp_path)
         assert len(loaded.tasks) == len(healthy_bundle.tasks)
+
+    @pytest.mark.parametrize("compress", (False, True), ids=("plain", "gz"))
+    def test_rows_end_in_a_bare_newline(self, tmp_path, healthy_bundle,
+                                        compress):
+        """No ``\\r`` is written, and the same rows with ``\\r\\n``
+        endings load to the same bundle."""
+        lf, crlf = tmp_path / "lf", tmp_path / "crlf"
+        written = write_trace(healthy_bundle, lf, compress=compress)
+        crlf.mkdir()
+        for path in lf.iterdir():
+            raw = path.read_bytes()
+            text = gzip.decompress(raw) if compress else raw
+            assert b"\r" not in text
+            assert text.count(b"\n") == sum(
+                written[name] for name, table in schema.SCHEMAS.items()
+                if path.name.startswith(table.filename))
+            text = text.replace(b"\n", b"\r\n")
+            (crlf / path.name).write_bytes(
+                gzip.compress(text) if compress else text)
+        loaded, reference = load_trace(lf), load_trace(crlf)
+        assert loaded.machine_events == reference.machine_events
+        assert loaded.tasks == reference.tasks
+        assert loaded.instances == reference.instances
+        assert loaded.usage.machine_ids == reference.usage.machine_ids
+        assert np.array_equal(loaded.usage.data, reference.usage.data)
+        # and writing the loaded bundle again gives the same bytes
+        again = tmp_path / "again"
+        write_trace(loaded, again, compress=compress)
+        for path in lf.iterdir():
+            read = gzip.decompress if compress else bytes
+            assert read((again / path.name).read_bytes()) \
+                == read(path.read_bytes())
 
     def test_write_skips_empty_sections(self, tmp_path):
         from repro.trace.records import TraceBundle
@@ -146,6 +179,50 @@ class TestUtilisationCells:
         path.write_text("0,m_1,0,100.00,-0.00\n")
         assert load_trace(tmp_path).usage.data.tolist() == [
             [[0.0], [100.0], [0.0]]]
+
+
+#: Per table: a good row, a row with ``{}`` in one int column, that column.
+INT_CELLS = {
+    "machine_events": ("0,m_1,add,,96,512,4096",
+                       "{},m_2,add,,96,512,4096", "timestamp"),
+    "batch_task": ("0,100,j0,t0,1,Terminated,10,20",
+                   "0,100,j1,t1,{},Terminated,10,20", "instance_num"),
+    "batch_instance": ("0,100,j0,t0,m_1,Terminated,1,1,10,20,30,40",
+                       "0,100,j0,t0,m_1,Terminated,{},1,10,20,30,40",
+                       "seq_no"),
+    "server_usage": ("0,m_1,10,20,30", "{},m_1,11,21,31", "timestamp"),
+}
+
+
+class TestIntOverflowCells:
+    """``int(float(cell))`` overflows on an infinite cell; it must read
+    as a format error naming table, column and line, not escape as a
+    bare ``OverflowError``."""
+
+    @pytest.mark.parametrize("value", ("inf", "-inf", "1e999"))
+    @pytest.mark.parametrize("table", sorted(INT_CELLS))
+    def test_cell_names_table_column_and_line(self, tmp_path, table, value):
+        good, bad, column = INT_CELLS[table]
+        (tmp_path / schema.SCHEMAS[table].filename).write_text(
+            f"{good}\n{bad.format(value)}\n")
+        with pytest.raises(TraceFormatError,
+                           match=f"line 2: column {column!r}") as err:
+            load_trace(tmp_path)
+        assert err.value.table == table
+        assert err.value.line_number == 2
+
+    def test_lenient_load_drops_the_row(self, tmp_path):
+        (tmp_path / "batch_task.csv").write_text(
+            "0,100,j0,t0,1,Terminated,10,20\n"
+            "1e999,5,j1,t1,1,Terminated,,\n")
+        bundle = load_trace(tmp_path, skip_malformed=True)
+        assert [task.job_id for task in bundle.tasks] == ["j0"]
+
+    def test_detect_exits_2_with_the_line(self, tmp_path, capsys):
+        (tmp_path / "server_usage.csv").write_text("inf,m_1,11,21,31\n")
+        assert main(["detect", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: [server_usage] line 1: column 'timestamp'")
 
 
 class TestPartialTables:
