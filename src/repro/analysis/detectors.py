@@ -19,18 +19,35 @@ Every detector exposes two equivalent surfaces:
 
 Both paths share the same numerical kernels, so their events are
 bit-identical; the per-series form is simply a one-row block.
+
+The rolling z-score's statistics come from one helper,
+:func:`rolling_mean_std`, which batch, sharded, incremental and served
+sweeps all call.  It returns the mean and standard deviation of every full
+window, bit for bit what ``sliding_window_view(values, window,
+axis=1).mean(axis=2)`` and ``.std(axis=2)`` return.  On a block holding
+many windows for its window length it adds the window's shifted
+``(windows, rows)`` slices of one samples-major copy in the order of
+NumPy's float64 ``pairwise_sum`` (left to right below 8 terms, eight
+interleaved accumulators up to 128, a split at a multiple of 8 above),
+then divides as ``np.mean`` and ``np.std`` do.  That costs about four
+NumPy calls per window term and no ``(rows, windows, window)`` temporary.
+A block with fewer than ``32 × window`` cells of ``rows × windows``, such
+as a one-row :meth:`~BlockDetector.detect` call, keeps the sliding-window
+reductions, which win there, unless their temporary would pass 32 MB.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.errors import SeriesError
 from repro.metrics.series import TimeSeries
+from repro.metrics.store import MAX_WINDOW_SAMPLES
 
 
 @dataclass(frozen=True)
@@ -372,6 +389,134 @@ class ThresholdDetector(BlockDetector):
         return self._block_mask(timestamps, values)
 
 
+#: A block whose ``rows × windows`` is below this multiple of the window
+#: length keeps the sliding-window reductions: the shifted-column pass
+#: costs about four NumPy calls per window term whatever the block size,
+#: so it loses on blocks holding few windows for their length.
+_SHIFTED_MIN_CELLS_PER_TERM = 32
+#: ``np.std`` over the window view materialises ``rows × windows ×
+#: window`` deviations; above this many (32 MB) the shifted-column pass
+#: runs even where it is slower, so a long window cannot exhaust memory.
+_SLIDING_MAX_CELLS = 1 << 22
+#: Cells (windows × rows) the shifted-column pass sums at once: 128 KB
+#: per array, so eight lanes and the terms fit a 2 MB L2 cache.
+_SPAN_CELLS = 16_384
+
+
+def _pairwise_split(start: int, count: int) -> tuple:
+    if count <= 128:
+        return (start, count)
+    half = count // 2
+    half -= half % 8
+    return (_pairwise_split(start, half),
+            _pairwise_split(start + half, count - half))
+
+
+@functools.lru_cache(maxsize=64)
+def _pairwise_plan(count: int) -> tuple:
+    """NumPy's float64 ``pairwise_sum`` order over ``count`` terms, as a tree.
+
+    A leaf ``(start, n)`` holds at most 128 terms, summed as
+    :func:`_pairwise_sum` describes; a node ``(left, right)`` is a split at
+    half the count rounded down to a multiple of 8, summed left plus
+    right.  A long-lived server meets any window length up to
+    :data:`MAX_WINDOW_SAMPLES`, hence the bound.
+    """
+    return _pairwise_split(0, count)
+
+
+def _pairwise_sum(plan: tuple,
+                  term: Callable[[int], np.ndarray]) -> np.ndarray:
+    """Add the arrays ``term(i)`` in the order ``np.add.reduce`` adds a
+    contiguous float64 axis: left to right below 8 terms; eight interleaved
+    accumulators combined as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` and
+    then the remainder left to right up to 128; recursive splits above.
+
+    A leaf holds at least two terms (windows are at least 2 samples and
+    splits at least 64).  The result is a new array; ``term`` may return
+    views, which are only read.
+    """
+    if isinstance(plan[0], tuple):
+        total = _pairwise_sum(plan[0], term)
+        total += _pairwise_sum(plan[1], term)
+        return total
+    start, count = plan
+    stop = start + count
+    if count < 8:
+        rest = start + 2
+        total = term(start) + term(start + 1)
+    else:
+        rest = stop - count % 8
+        if count < 16:
+            lanes = [term(start + k) for k in range(8)]
+        else:
+            lanes = [term(start + k) + term(start + 8 + k) for k in range(8)]
+            for base in range(start + 16, rest, 8):
+                for k in range(8):
+                    lanes[k] += term(base + k)
+        total = lanes[0] + lanes[1]
+        total += lanes[2] + lanes[3]
+        upper = lanes[4] + lanes[5]
+        upper += lanes[6] + lanes[7]
+        total += upper
+    for i in range(rest, stop):
+        total += term(i)
+    return total
+
+
+def rolling_mean_std(values: np.ndarray,
+                     window: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and standard deviation of every full ``window`` of each row.
+
+    ``values`` is a float64 ``(rows, samples)`` block with at least
+    ``window`` samples; both results have shape ``(rows, samples - window
+    + 1)`` and equal ``sliding_window_view(values, window,
+    axis=1).mean(axis=2)`` and ``.std(axis=2)`` bit for bit, a window of
+    ``-0.0`` values included.  Blocks holding many windows for their
+    length take the shifted-column pass over a samples-major copy; the
+    rest keep the sliding-window reductions (module docstring).
+    """
+    num_rows, num_samples = values.shape
+    num_windows = num_samples - window + 1
+    cells = num_rows * num_windows
+    if (cells < _SHIFTED_MIN_CELLS_PER_TERM * window
+            and cells * window <= _SLIDING_MAX_CELLS):
+        windows = sliding_window_view(values, window, axis=1)
+        return windows.mean(axis=2), windows.std(axis=2)
+    columns = np.ascontiguousarray(values.T)
+    plan = _pairwise_plan(window)
+    mean = np.empty((num_windows, num_rows), dtype=np.float64)
+    std = np.empty_like(mean)
+    span = max(1, _SPAN_CELLS // num_rows)
+    for lo in range(0, num_windows, span):
+        count = min(span, num_windows - lo)
+        mean[lo:lo + count], var = _shifted_moments(
+            columns[lo:lo + count + window - 1], plan, window, count)
+        np.sqrt(var, out=std[lo:lo + count])
+    return mean.T, std.T
+
+
+def _shifted_moments(block: np.ndarray, plan: tuple, window: int,
+                     count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and variance of the first ``count`` windows of a samples-major
+    ``block``, in the order ``np.mean`` and ``np.var`` compute them."""
+    mean = _pairwise_sum(plan, lambda i: block[i:i + count])
+    # ``add.reduce`` adds the pairwise sum to its identity +0.0, which
+    # turns a sum of -0.0 values into +0.0.
+    mean += 0.0
+    mean /= window
+
+    def squared_deviation(i: int) -> np.ndarray:
+        deviation = block[i:i + count] - mean
+        deviation *= deviation
+        return deviation
+
+    var = _pairwise_sum(plan, squared_deviation)
+    var += 0.0
+    var /= window
+    return mean, var
+
+
 class _ZScoreStreamState:
     """Tail context of an incremental z-score sweep.
 
@@ -396,11 +541,18 @@ class RollingZScoreDetector(BlockDetector):
 
     def __init__(self, window: int = 12, z_threshold: float = 3.0,
                  *, min_std: float = 1.0) -> None:
-        if window < 2:
-            raise SeriesError("window must be at least 2 samples")
+        if (isinstance(window, bool)
+                or not isinstance(window, (int, np.integer))):
+            raise SeriesError(
+                f"window must be an integer number of samples, got "
+                f"{window!r}")
+        if not 2 <= window <= MAX_WINDOW_SAMPLES:
+            raise SeriesError(
+                f"window must be between 2 and {MAX_WINDOW_SAMPLES} "
+                f"samples, got {window}")
         if z_threshold <= 0:
             raise SeriesError("z_threshold must be positive")
-        self.window = window
+        self.window = int(window)
         self.z_threshold = z_threshold
         self.min_std = min_std
 
@@ -412,9 +564,8 @@ class RollingZScoreDetector(BlockDetector):
                     np.zeros((num_rows, num_samples), dtype=np.float64))
         mean = np.empty_like(values)
         std = np.empty_like(values)
-        windows = sliding_window_view(values, self.window, axis=1)
-        mean[:, self.window - 1:] = windows.mean(axis=2)
-        std[:, self.window - 1:] = windows.std(axis=2)
+        mean[:, self.window - 1:], std[:, self.window - 1:] = (
+            rolling_mean_std(values, self.window))
         # The warm-up region is never flagged; its statistics only exist so
         # the score array is fully defined.
         for i in range(self.window - 1):
@@ -444,11 +595,10 @@ class RollingZScoreDetector(BlockDetector):
         m = joined.shape[1]
         if m >= self.window:
             # Rolling windows over tail + chunk cover exactly the trace
-            # windows ending inside the chunk; the same contiguous layout
-            # as the batch path keeps the statistics bit-identical.
-            windows = sliding_window_view(joined, self.window, axis=1)
-            mean = windows.mean(axis=2)
-            std = np.maximum(windows.std(axis=2), self.min_std)
+            # windows ending inside the chunk; the batch path's helper
+            # keeps the statistics bit-identical.
+            mean, std = rolling_mean_std(joined, self.window)
+            std = np.maximum(std, self.min_std)
             first = max(self.window - 1, k)   # first full-window position
             off = first - (self.window - 1)
             z = np.abs(joined[:, first:] - mean[:, off:]) / std[:, off:]
@@ -491,14 +641,18 @@ class EwmaDetector(BlockDetector):
         scores = np.zeros((num_rows, num_samples), dtype=np.float64)
         if num_samples < 2:
             return mask, scores
-        smoothed = np.empty_like(values)
-        smoothed[:, 0] = values[:, 0]
+        # The recurrence walks samples, so it runs over a samples-major
+        # copy: each step reads and writes one contiguous row instead of a
+        # column strided across the store's (machines, metrics, samples).
+        columns = np.ascontiguousarray(values.T)
+        smoothed = np.empty_like(columns)
+        smoothed[0] = columns[0]
         alpha = self.alpha
         decay = 1.0 - alpha
         for i in range(1, num_samples):
-            smoothed[:, i] = alpha * values[:, i] + decay * smoothed[:, i - 1]
+            smoothed[i] = alpha * columns[i] + decay * smoothed[i - 1]
         # compare each sample against the forecast from the previous one
-        residual = np.abs(values[:, 1:] - smoothed[:, :-1])
+        residual = np.abs(columns[1:] - smoothed[:-1]).T
         mask[:, 1:] = residual >= self.deviation_threshold
         scores[:, 1:] = residual
         return mask, scores

@@ -44,6 +44,13 @@ def _validate_axes(machine_ids: Sequence[str],
     return machine_ids, timestamps
 
 
+#: Largest window, in samples, that a streaming ring or a rolling detector
+#: may ask for, 512× the ring's default of 128.  A sanity bound rather than
+#: a memory budget: the mirrored ring keeps 2 × window float64 samples per
+#: machine and metric, so at most about 3 MB of ring per machine.
+MAX_WINDOW_SAMPLES = 65_536
+
+
 def valid_utilisation(values):
     """The one rule for utilisation samples, elementwise: finite and in
     [0, 100] (NaN fails both comparisons).  The streaming ring, the trace
@@ -149,6 +156,23 @@ class MetricStore:
         self.__dict__.update(state)
         if self._data is None and self._backing is not None:
             self._data = self._backing.reopen()
+
+    def __eq__(self, other: object) -> bool:
+        """Value equality: machine ids, metrics, time axis and samples.
+
+        Where the matrix lives does not count, so an mmap-backed store
+        equals its in-RAM copy, and a :class:`~repro.trace.records.TraceBundle`
+        compares its ``usage`` by value.
+        """
+        if not isinstance(other, MetricStore):
+            return NotImplemented
+        return (self._machine_ids == other._machine_ids
+                and self._metrics == other._metrics
+                and np.array_equal(self._timestamps, other._timestamps)
+                and np.array_equal(self._data, other._data))
+
+    # Value equality on a mutable matrix: a store is not hashable.
+    __hash__ = None
 
     # -- accessors ----------------------------------------------------------
     @property

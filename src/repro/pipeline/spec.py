@@ -60,6 +60,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Mapping
 
 from repro.errors import PipelineError
+from repro.metrics.store import MAX_WINDOW_SAMPLES
 from repro.stream.monitor import check_utilisation_threshold
 from repro.stream.session import CADENCES
 
@@ -69,11 +70,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 
 SOURCE_KINDS = ("trace-dir", "synthetic", "bundle", "store")
 MODES = ("batch", "streaming")
-#: Largest ``streaming.window_samples`` a spec may ask for, 512× the
-#: default of 128.  A sanity bound rather than a memory budget: the
-#: mirrored ring keeps 2 × window float64 samples per machine and metric,
-#: so at most about 3 MB of ring per machine.
-MAX_WINDOW_SAMPLES = 65_536
 
 
 def _as_int(value, field_name: str) -> int:

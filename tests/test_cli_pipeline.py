@@ -227,6 +227,19 @@ class TestCleanErrors:
         for name in ("ewma", "flatline", "threshold", "zscore", "wormhole"):
             assert name in err
 
+    @pytest.mark.parametrize("window", ["2.5", "1", "true", "65537",
+                                        "1000000"])
+    def test_bad_zscore_window_is_a_clean_error(self, tmp_path,
+                                                thrashing_bundle, capsys,
+                                                window):
+        write_trace(thrashing_bundle, tmp_path)
+        assert main(["detect", str(tmp_path), "--detectors",
+                     f"zscore(window={window})"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert "window" in err
+
     def test_unknown_scenario_lists_registered(self, capsys):
         assert main(["detect", "--synthetic", "--scenario",
                      "wormhole+diurnal"]) == 2

@@ -187,6 +187,35 @@ class TestFromDense:
                                    ("cpu", "mem", "disk"), data)
 
 
+class TestValueEquality:
+    def copy_of(self, store: MetricStore) -> MetricStore:
+        return MetricStore.from_dense(store.machine_ids, store.timestamps.copy(),
+                                      store.metrics, store.data.copy())
+
+    def test_equal_values_compare_equal(self, store):
+        assert store == self.copy_of(store)
+        assert store.subset(store.machine_ids) == store   # a read-only view
+        assert store != "not a store"
+
+    def test_every_part_counts(self, store):
+        changed = self.copy_of(store)
+        changed.data[2, 1, 3] = 1.0
+        assert store != changed
+        assert store != store.subset(["m1", "m2"])
+        assert store != store.window(60.0, 180.0)
+        assert store != MetricStore.from_dense(
+            ["m1", "m2", "x"], store.timestamps, store.metrics, store.data)
+        assert store != MetricStore.from_dense(
+            store.machine_ids, store.timestamps + 1.0, store.metrics,
+            store.data)
+        assert store != MetricStore.from_dense(
+            store.machine_ids, store.timestamps, ("a", "b", "c"), store.data)
+
+    def test_a_store_is_not_hashable(self, store):
+        with pytest.raises(TypeError):
+            hash(store)
+
+
 class TestRecordsRoundTrip:
     def test_iter_records_count(self, store):
         records = list(store.iter_records())

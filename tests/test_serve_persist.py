@@ -308,6 +308,9 @@ class TestRejectedCreate:
         "window-too-small": {"streaming": {"window_samples": 1}},
         "window-too-large": {"streaming": {"window_samples": 65_537}},
         "nan-detector-param": {"detectors": "zscore(window=nan)"},
+        "fractional-zscore-window": {"detectors": "zscore(window=2.5)"},
+        "boolean-zscore-window": {"detectors": "zscore(window=true)"},
+        "zscore-window-past-a-ring": {"detectors": "zscore(window=1000000)"},
     }
 
     def post_tenant(self, server, spec: dict) -> tuple[int, dict]:

@@ -86,20 +86,23 @@ def test_state_dir_recovers_equal_to_a_live_replay(fixture_copy):
     copy, recipe = fixture_copy
     registry = TenantRegistry(state=ServerStateDir(
         copy / "state", snapshot_every=recipe["snapshot_every"]))
-    assert registry.recover() == [recipe["tenant"]["id"]]
-    assert registry.skipped == []
-    recovered = registry.get(recipe["tenant"]["id"])
+    try:
+        assert registry.recover() == [recipe["tenant"]["id"]]
+        assert registry.skipped == []
+        recovered = registry.get(recipe["tenant"]["id"])
 
-    live = TenantRegistry().create(recipe["tenant"])
-    payloads = store_to_payloads(load_trace(copy / "trace").usage,
-                                 recipe["batch"])
-    assert len(payloads) == recipe["batches"]
-    for payload in payloads:
-        live.ingest(payload)
+        live = TenantRegistry().create(recipe["tenant"])
+        payloads = store_to_payloads(load_trace(copy / "trace").usage,
+                                     recipe["batch"])
+        assert len(payloads) == recipe["batches"]
+        for payload in payloads:
+            live.ingest(payload)
 
-    assert recovered.summary() == live.summary()
-    assert recovered.events() == live.events()
-    for view in ("log", "managed"):
-        assert (recovered.alerts(cursor=0, view=view)
-                == live.alerts(cursor=0, view=view))
-    assert recovered.alerts(cursor=0)["alerts"]
+        assert recovered.summary() == live.summary()
+        assert recovered.events() == live.events()
+        for view in ("log", "managed"):
+            assert (recovered.alerts(cursor=0, view=view)
+                    == live.alerts(cursor=0, view=view))
+        assert recovered.alerts(cursor=0)["alerts"]
+    finally:
+        registry.close_all()

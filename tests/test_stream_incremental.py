@@ -14,8 +14,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.analysis.detectors import RollingZScoreDetector
 from repro.analysis.engine import DetectionEngine
 from repro.errors import SeriesError
+from repro.metrics.store import MAX_WINDOW_SAMPLES
 from repro.pipeline import Pipeline, StreamingOptions, default_detector_names
 from repro.stream.monitor import MonitorConfig, OnlineMonitor
 from repro.stream.session import StreamSession
@@ -61,6 +63,21 @@ class TestEngineIncrementalGolden:
             f"{scenario}/{detector}/chunk={chunk} diverged from batch")
         assert state.flagged_machines() == batch.flagged_machines()
         assert state.num_events == batch.num_events
+
+    @pytest.mark.parametrize("window", [2, MAX_WINDOW_SAMPLES])
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    def test_zscore_window_bounds_stream_equal_batch(self, window, chunk,
+                                                     stores):
+        store = stores["diurnal+memory-thrash"]
+        # A two-sample window scores at most 1: a cut-off below it flags.
+        detector = RollingZScoreDetector(window=window, z_threshold=0.9)
+        engine = DetectionEngine()
+        state = engine.stream(store.machine_ids, detector)
+        for lo, hi in chunk_bounds(store.num_samples, chunk):
+            engine.run_incremental(state, store.sample_slice(lo, hi))
+        batch = engine.run(store, detector)
+        assert state.events() == batch.events()
+        assert (batch.num_events > 0) == (window == 2)
 
     @pytest.mark.parametrize("detector", default_detector_names())
     def test_every_boundary_is_a_valid_prefix(self, detector, stores):

@@ -113,6 +113,21 @@ class TestCacheRoundTrip:
         assert_bundles_identical(
             warm, load_trace(moved))
 
+    def test_bundles_compare_by_value(self, trace_dir):
+        """``==`` holds between the cold parse, a warm load and an
+        mmap-backed load: the store compares by value wherever its matrix
+        lives."""
+        cold = load_trace(trace_dir, cache=True)
+        warm = load_trace(trace_dir, cache=True)
+        mapped = load_trace(trace_dir, cache=True, mmap=True)
+        assert mapped.usage.mmap_backed and not warm.usage.mmap_backed
+        assert cold == warm == mapped
+        assert load_trace(trace_dir) == mapped
+        assert load_trace(trace_dir) == load_trace(trace_dir)
+        edited = dataclasses.replace(
+            cold, usage=cold.usage.subset(cold.usage.machine_ids[1:]))
+        assert edited != warm
+
     def test_cache_off_leaves_no_sidecar(self, trace_dir):
         load_trace(trace_dir)
         assert not (trace_dir / trace_cache.CACHE_DIR_NAME).exists()
