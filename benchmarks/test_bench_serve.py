@@ -11,18 +11,30 @@ Results land in ``BENCH_results.json`` via ``record_result``.
 Correctness is asserted alongside the numbers: every tenant must end with
 exactly its own sample count and its own verdicts (cross-tenant leakage
 would show up as wrong totals or missing/foreign alerts).
+
+The ``serve/detect_reply`` row times building one ``/detect`` reply for a
+wide window: the encoder that writes it from the run arrays against the
+dict-plus-``json.dumps`` path it replaced (:func:`legacy_detect_reply`).
+Both run the same verdicts in one process, so the ratio is host-stable
+enough to gate (CI's ``detect-reply-gate`` job): equal bytes and at least
+1.5× faster.
 """
 
 from __future__ import annotations
 
+import json
 import threading
 import time
 
 import numpy as np
 
-from benchmarks.conftest import record_result, report, synthetic_cluster
+from benchmarks.conftest import best_of, record_result, report, synthetic_cluster
+from repro.analysis.engine import DetectionEngine, EngineResult
+from repro.config import ClusterConfig, TraceConfig, UsageConfig
+from repro.pipeline.core import compile_plans
 from repro.serve import DetectionServer, ServeClient
-from repro.serve.wire import store_to_payloads
+from repro.serve.wire import detect_reply, store_to_payloads
+from repro.trace.synthetic import generate_trace
 
 NUM_TENANTS = 8
 NUM_MACHINES = 32
@@ -181,3 +193,70 @@ def test_serve_shared_pool_detect_across_tenants():
         tenants=len(stores),
         machines_per_tenant=NUM_MACHINES,
     )
+
+
+#: A wide serving window: 256 machines, the last 256 samples of a one-day
+#: scenario trace at 300 s resolution, the default stack on cpu.
+REPLY_MACHINES = 256
+REPLY_WINDOW = 256
+REPLY_SCENARIO = "diurnal+network-storm+hotjob"
+MIN_REPLY_SPEEDUP = 1.5
+
+
+def legacy_detect_reply(tenant_id, window, plans, results) -> bytes:
+    """The ``/detect`` reply before the encoder: one ``AnomalyEvent`` and
+    one dict per event, then ``json.dumps`` of the whole reply."""
+    return json.dumps({
+        "tenant": tenant_id, "num_samples": window.num_samples,
+        "cached": False,
+        "detections": [
+            {"label": plan.label, "name": plan.name, "metric": plan.metric,
+             "events": [e.to_dict() for e in result.events()],
+             "flagged_machines": sorted(result.flagged_machines())}
+            for plan, result in zip(plans, results)]}).encode("utf-8")
+
+
+def test_detect_reply_encoder_matches_and_beats_dumps():
+    usage = generate_trace(TraceConfig(
+        cluster=ClusterConfig(num_machines=REPLY_MACHINES),
+        usage=UsageConfig(resolution_s=300), horizon_s=24 * 3600,
+        scenario=REPLY_SCENARIO, seed=1)).usage
+    window = usage.sample_slice(usage.num_samples - REPLY_WINDOW,
+                                usage.num_samples)
+    plans, _ = compile_plans(None, ("cpu",))
+    engine = DetectionEngine(detectors={})
+    verdicts = [engine.run(window, plan.detector, metric=plan.metric)
+                for plan in plans]
+
+    def fresh():
+        # events() keeps the AnomalyEvents it builds; a served miss
+        # starts from verdicts that never built any.
+        return [EngineResult(r.detector, r.metric, r.machine_ids, r.block)
+                for r in verdicts]
+
+    dumps_s, want = best_of(
+        lambda: legacy_detect_reply("wide", window, plans, fresh()),
+        rounds=15)
+    encode_s, body = best_of(
+        lambda: detect_reply("wide", window.num_samples,
+                             [(plan.label, plan.name, plan.metric, result)
+                              for plan, result in zip(plans, fresh())]),
+        rounds=15)
+    assert body == want
+    events = sum(result.num_events for result in verdicts)
+    speedup = dumps_s / encode_s
+    record_result("serve/detect_reply", wall_clock_s=encode_s,
+                  throughput=events / encode_s, throughput_unit="events/s",
+                  speedup_vs_dumps=speedup, num_machines=REPLY_MACHINES,
+                  window_samples=REPLY_WINDOW, events=events,
+                  body_bytes=len(body))
+    report(f"serve: /detect reply, array encoder vs dicts + json.dumps "
+           f"({REPLY_MACHINES} machines, {REPLY_WINDOW}-sample window)", {
+               "events": events,
+               "body": f"{len(body)} bytes, identical",
+               "timing": f"dumps {dumps_s * 1e3:.2f} ms -> encoder "
+                         f"{encode_s * 1e3:.2f} ms ({speedup:.1f}x)",
+           })
+    assert speedup >= MIN_REPLY_SPEEDUP, (
+        f"/detect reply encoder only {speedup:.1f}x faster than json.dumps "
+        f"(need >= {MIN_REPLY_SPEEDUP}x)")

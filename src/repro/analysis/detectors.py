@@ -644,13 +644,15 @@ class EwmaDetector(BlockDetector):
         # The recurrence walks samples, so it runs over a samples-major
         # copy: each step reads and writes one contiguous row instead of a
         # column strided across the store's (machines, metrics, samples).
+        # ``alpha * x`` for every sample up front, then one in-place add per
+        # step: the same products and sum as ``alpha * x[i] + decay *
+        # s[i - 1]``, so bit-identical, with one temporary per step, not three.
         columns = np.ascontiguousarray(values.T)
-        smoothed = np.empty_like(columns)
+        smoothed = columns * self.alpha
         smoothed[0] = columns[0]
-        alpha = self.alpha
-        decay = 1.0 - alpha
+        decay = 1.0 - self.alpha
         for i in range(1, num_samples):
-            smoothed[i] = alpha * columns[i] + decay * smoothed[i - 1]
+            smoothed[i] += smoothed[i - 1] * decay
         # compare each sample against the forecast from the previous one
         residual = np.abs(columns[1:] - smoothed[:-1]).T
         mask[:, 1:] = residual >= self.deviation_threshold

@@ -42,7 +42,10 @@ serves bit-identical alerts, events and seq ids.
 Heavy batch sweeps (``POST /detect``) multiplex one **shared**
 :class:`~repro.analysis.shard.ShardExecutor` pool across all tenants
 (``ShardExecutor.start()`` makes the pool persistent), so N tenants cost
-one pool, not N.
+one pool, not N.  A sweep's reply is encoded once, straight from the run
+arrays (:func:`~repro.serve.wire.detect_reply`), and the window cache
+holds that encoded body: a repeated ``/detect`` over an unchanged window
+writes the stored bytes and runs no JSON encoding at all.
 """
 
 from __future__ import annotations
@@ -63,14 +66,20 @@ from repro.errors import (
 )
 from repro.pipeline.core import compile_plans
 from repro.serve.persist import DEFAULT_SNAPSHOT_EVERY, ServerStateDir
-from repro.serve.tenants import Tenant, TenantRegistry
+from repro.serve.tenants import (
+    Tenant,
+    TenantRegistry,
+    check_alert_view,
+    validate_stack,
+)
+from repro.serve.wire import detect_reply, mark_cached
 
 _log = logging.getLogger(__name__)
 
 #: Upper bound on one long-poll wait; clients re-arm with their cursor.
 MAX_POLL_WAIT_S = 30.0
 
-#: Default bound on the in-memory ``/detect`` response cache (entries).
+#: Default bound on the in-memory ``/detect`` reply cache (entries).
 DEFAULT_DETECT_CACHE_SIZE = 128
 
 
@@ -89,28 +98,31 @@ def _detect_window_key(tenant: Tenant, detectors: str,
 
 
 class _DetectCache:
-    """Bounded LRU of ``/detect`` responses, keyed by window version.
+    """Bounded LRU of encoded ``/detect`` reply bodies, keyed by window
+    version.
 
-    A key is ``(request, version)``, and each request keeps only its
-    newest version: a lookup hits only on an equal version, and ``put``
-    replaces an older version but never a newer one.  Superseded
-    responses therefore never pile up — the cache holds at most one
-    response per live (tenant, request) window — and ``size`` bounds the
-    number of requests, least recently *hit* evicted first.  Thread-safe
-    (handler threads share it)."""
+    The server stores each miss's body already marked ``"cached": true``,
+    so a hit hands back the stored bytes as they are: no dict, no JSON
+    encoding, no copy.  A key is ``(request, version)``, and each request
+    keeps only its newest version: a lookup hits only on an equal version,
+    and ``put`` replaces an older version but never a newer one.
+    Superseded bodies therefore never pile up — the cache holds at most one
+    body per live (tenant, request) window — and ``size`` bounds the number
+    of requests, least recently *hit* evicted first.  Thread-safe (handler
+    threads share it)."""
 
     def __init__(self, size: int) -> None:
         self.size = size
         self.hits = 0
         self.misses = 0
         self._lock = threading.Lock()
-        self._entries: "OrderedDict[tuple, tuple[tuple, dict]]" = OrderedDict()
+        self._entries: "OrderedDict[tuple, tuple[tuple, bytes]]" = OrderedDict()
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
 
-    def get(self, key: "tuple[tuple, tuple]") -> dict | None:
+    def get(self, key: "tuple[tuple, tuple]") -> bytes | None:
         request, version = key
         with self._lock:
             entry = self._entries.get(request)
@@ -121,12 +133,12 @@ class _DetectCache:
             self.hits += 1
             return entry[1]
 
-    def put(self, key: "tuple[tuple, tuple]", value: dict) -> None:
+    def put(self, key: "tuple[tuple, tuple]", value: bytes) -> None:
         request, version = key
         with self._lock:
             entry = self._entries.get(request)
             if entry is not None and entry[0] > version:
-                return   # a newer window's response is already cached
+                return   # a newer window's body is already cached
             self._entries[request] = (version, value)
             self._entries.move_to_end(request)
             while len(self._entries) > self.size:
@@ -156,9 +168,11 @@ class _Handler(BaseHTTPRequestHandler):
         pass  # no access log; _dispatch logs every 5xx on the module logger
 
     # -- plumbing --------------------------------------------------------------
-    def _send_json(self, status: int, body: dict,
+    def _send_json(self, status: int, body: "dict | bytes",
                    headers: dict | None = None) -> None:
-        data = json.dumps(body).encode("utf-8")
+        # A bytes body is already encoded JSON (a /detect reply).
+        data = (body if isinstance(body, bytes)
+                else json.dumps(body).encode("utf-8"))
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
@@ -316,8 +330,11 @@ class DetectionServer:
 
     # -- routing ---------------------------------------------------------------
     def handle(self, method: str, parts: "list[str]", query: dict,
-               body: dict) -> "tuple[int, dict]":
-        """Route one request; returns ``(status, json_payload)``."""
+               body: dict) -> "tuple[int, dict | bytes]":
+        """Route one request; returns ``(status, payload)``.
+
+        The payload is a JSON-able dict, or for ``POST /detect`` the reply
+        body already encoded as JSON bytes."""
         if parts == ["health"] and method == "GET":
             return 200, {"status": "draining" if self._closed else "ok",
                          "tenants": len(self.registry)}
@@ -360,12 +377,13 @@ class DetectionServer:
         except ValueError as exc:
             raise ServeError(f"bad alert query parameter: {exc}") from None
         view = query.get("view", "log")
+        check_alert_view(view)   # before a long-poll parks this thread
         if wait is not None and wait > 0 and view != "pending":
             tenant.wait_for_alerts(cursor, min(wait, MAX_POLL_WAIT_S))
         return tenant.alerts(cursor=cursor, view=view)
 
-    def _detect(self, tenant: Tenant, body: dict) -> dict:
-        """One batch sweep over the tenant's ring window.
+    def _detect(self, tenant: Tenant, body: dict) -> bytes:
+        """One batch sweep over the tenant's ring window, as reply bytes.
 
         Defaults to the tenant's own detectors × metrics; the body may
         override either (``{"detectors": "ewma", "metrics": ["mem"]}``)
@@ -374,14 +392,17 @@ class DetectionServer:
         sweep runs on the server-wide shared pool, outside the tenant
         lock, so ingest continues while it computes.
 
-        Responses are cached keyed on the request (canonical detector
-        spec × metrics) plus the **window version** — the tenant's
-        incarnation and ring append count: a repeated sweep over an
-        unchanged window skips the ring copy and the
-        :class:`~repro.analysis.shard.ShardExecutor` round-trip entirely
-        and is marked ``"cached": true``.  Every ring append moves the
-        version, so stale hits are impossible by construction; a
-        response is cached only under the version its copy was taken at.
+        The reply is encoded once from the run arrays
+        (:func:`~repro.serve.wire.detect_reply`), byte-identical to
+        ``json.dumps`` of the equivalent dict.  Replies are cached keyed
+        on the request (canonical detector spec × metrics) plus the
+        **window version** — the tenant's incarnation and ring append
+        count: a repeated sweep over an unchanged window skips the ring
+        copy, the :class:`~repro.analysis.shard.ShardExecutor` round-trip
+        and all encoding, and returns the stored body marked
+        ``"cached": true``.  Every ring append moves the version, so stale
+        hits are impossible by construction; a body is cached only under
+        the version its copy was taken at.
         """
         if self._closed:
             raise ServiceUnavailableError(
@@ -392,41 +413,28 @@ class DetectionServer:
             raise ServeError(
                 f"unknown detect key(s) {sorted(unknown)}; expected "
                 f"['detectors', 'metrics']")
-        detectors = body.get("detectors", tenant.spec.detectors)
-        if isinstance(detectors, (list, tuple)):
-            detectors = "+".join(detectors)
-        metrics = body.get("metrics", tenant.spec.metrics)
-        if isinstance(metrics, str):
-            metrics = (metrics,)
-        plans, spec_string = compile_plans(detectors, tuple(metrics))
+        detectors, metrics = validate_stack(
+            body.get("detectors", tenant.spec.detectors),
+            body.get("metrics", tenant.spec.metrics))
+        plans, spec_string = compile_plans(detectors, metrics)
         key = None
-        if self.detect_cache is not None and spec_string is not None:
-            key = _detect_window_key(tenant, spec_string, tuple(metrics))
+        if self.detect_cache is not None:
+            key = _detect_window_key(tenant, spec_string, metrics)
             cached = self.detect_cache.get(key)
             if cached is not None:
-                # Shallow copy: the nested lists are never mutated (the
-                # handler only serialises them), only the flag differs.
-                response = dict(cached)
-                response["cached"] = True
-                return response
+                return cached
         snapshot = tenant.snapshot()   # copy — sweep needs no tenant lock
         if key is not None and tenant.window_version() != key[1]:
             key = None   # an ingest landed after the lookup: not key's window
         results = self.executor.run_many(
             snapshot, [(plan.detector, plan.metric) for plan in plans])
-        response = {"tenant": tenant.spec.tenant_id,
-                    "num_samples": snapshot.num_samples,
-                    "cached": False,
-                    "detections": [
-                        {"label": plan.label, "name": plan.name,
-                         "metric": plan.metric,
-                         "events": [e.to_dict() for e in result.events()],
-                         "flagged_machines": sorted(
-                             result.flagged_machines())}
-                        for plan, result in zip(plans, results)]}
+        reply = detect_reply(
+            tenant.spec.tenant_id, snapshot.num_samples,
+            [(plan.label, plan.name, plan.metric, result)
+             for plan, result in zip(plans, results)])
         if key is not None:
-            self.detect_cache.put(key, response)
-        return response
+            self.detect_cache.put(key, mark_cached(reply))
+        return reply
 
 
 __all__ = [

@@ -58,6 +58,47 @@ _TENANT_ID_RE = re.compile(r"^(?=.*[A-Za-z0-9_+-])[A-Za-z0-9._+-]{1,128}$")
 #: re-created tenant id never shares a window version with its namesake.
 _INCARNATIONS = itertools.count(1)
 
+#: The views ``GET /tenants/<id>/alerts`` serves (see :meth:`Tenant.alerts`).
+_ALERT_VIEWS = ("log", "managed", "pending")
+
+
+def check_alert_view(view: str) -> None:
+    """Reject an alert view :meth:`Tenant.alerts` does not serve."""
+    if view not in _ALERT_VIEWS:
+        raise ServeError(f"unknown alert view {view!r}; expected one of "
+                         f"{list(_ALERT_VIEWS)}")
+
+
+def validate_stack(detectors, metrics) -> "tuple[str, tuple[str, ...]]":
+    """Check the ``detectors`` and ``metrics`` of a request body.
+
+    Tenant creation and ``POST /detect`` share this check, so both reject
+    the same bodies with a :class:`ServeError` naming the key, before
+    anything is created, journaled, cached or swept.  ``detectors`` is a
+    composed spec string or a list of spec strings (``None``: the registry
+    default); ``metrics`` is one metric name or a non-empty list of them.
+    Returns ``(spec string, metrics)``; detector names are resolved later,
+    by :func:`~repro.pipeline.core.compile_plans` or
+    :func:`~repro.pipeline.detectors.canonical_detector_spec`.
+    """
+    if detectors is None:
+        detectors = default_detector_spec()
+    if (isinstance(detectors, (list, tuple))
+            and all(isinstance(name, str) for name in detectors)):
+        detectors = "+".join(detectors)
+    if not isinstance(detectors, str):
+        raise ServeError(
+            f"'detectors' must be a composed spec string or a list of "
+            f"detector spec strings, got {detectors!r}")
+    if isinstance(metrics, str):
+        metrics = (metrics,)
+    if (not isinstance(metrics, (list, tuple)) or not metrics
+            or not all(isinstance(m, str) and m in METRICS for m in metrics)):
+        raise ServeError(
+            f"'metrics' must be a metric name or a non-empty list of them, "
+            f"drawn from {list(METRICS)}, got {metrics!r}")
+    return detectors, tuple(metrics)
+
 
 @dataclass(frozen=True)
 class TenantSpec:
@@ -107,25 +148,9 @@ class TenantSpec:
                 "machine-id strings")
         if len(set(machines)) != len(machines):
             raise ServeError("tenant machine ids must be unique")
-        detectors = raw.get("detectors")
-        if detectors is None:
-            detectors = default_detector_spec()
-        if isinstance(detectors, (list, tuple)):
-            detectors = "+".join(detectors)
-        if not isinstance(detectors, str):
-            raise ServeError(
-                f"tenant detectors must be a composed spec string, got "
-                f"{detectors!r}")
+        detectors, metrics = validate_stack(raw.get("detectors"),
+                                            raw.get("metrics", ("cpu",)))
         detectors = canonical_detector_spec(detectors)
-        metrics = raw.get("metrics", ("cpu",))
-        if isinstance(metrics, str):
-            metrics = (metrics,)
-        metrics = tuple(metrics)
-        bad = [m for m in metrics if m not in METRICS]
-        if not metrics or bad:
-            raise ServeError(
-                f"tenant metrics must be drawn from {list(METRICS)}, got "
-                f"{list(metrics)}")
         streaming = raw.get("streaming")
         streaming = (StreamingOptions.from_dict(streaming)
                      if streaming is not None else StreamingOptions())
@@ -309,6 +334,7 @@ class Tenant:
             the manager's unacknowledged records, most urgent first
             (cursor ignored).
         """
+        check_alert_view(view)
         if cursor < 0:
             raise ServeError(f"alert cursor must be non-negative, got {cursor}")
         with self.cond:
@@ -322,13 +348,9 @@ class Tenant:
                 entries = [r.to_dict() for r in records]
                 new_cursor = (records[-1].seq if records
                               else max(cursor, manager.last_seq))
-            elif view == "pending":
+            else:   # "pending"
                 entries = [r.to_dict() for r in manager.pending()]
                 new_cursor = cursor
-            else:
-                raise ServeError(
-                    f"unknown alert view {view!r}; expected one of "
-                    f"['log', 'managed', 'pending']")
             return {"tenant": self.spec.tenant_id, "view": view,
                     "cursor": new_cursor, "alerts": entries,
                     "closed": self.closed}
@@ -548,4 +570,6 @@ __all__ = [
     "Tenant",
     "TenantRegistry",
     "TenantSpec",
+    "check_alert_view",
+    "validate_stack",
 ]

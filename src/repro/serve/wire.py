@@ -2,9 +2,10 @@
 
 Everything the service moves is JSON.  Alerts and events already carry
 canonical encodings (``MonitorAlert.to_dict`` / ``ManagedAlert.to_dict`` /
-``AnomalyEvent.to_dict``); this module supplies the remaining piece — the
-**frame payload** that carries usage samples from an agent to a tenant's
-ring.  Two shapes are accepted:
+``AnomalyEvent.to_dict``); this module supplies the two remaining pieces:
+the ``/detect`` reply body (:func:`detect_reply`, below) and the **frame
+payload** that carries usage samples from an agent to a tenant's ring.
+Two frame shapes are accepted:
 
 single sample
     ``{"timestamp": t, "frame": [[v per metric] per machine]}``
@@ -23,9 +24,19 @@ JSON floats survive the trip exactly: ``json.dumps`` emits the shortest
 decimal that round-trips to the same IEEE double, so a value decoded on
 the server is bit-identical to the one the client held — the golden
 wire == local tests rely on this.
+
+A ``/detect`` reply is the largest body the service writes (a 256-machine
+window's default stack is about 150 KB).  :func:`detect_reply` encodes it
+straight from each verdict's run arrays to the bytes ``json.dumps`` writes
+for the equivalent dict of ``AnomalyEvent.to_dict`` lists — same key
+order, separators, ``ensure_ascii`` escapes and float text — without
+building an event object or a dict per event.
 """
 
 from __future__ import annotations
+
+import json
+from typing import Iterable
 
 import numpy as np
 
@@ -122,8 +133,110 @@ def store_to_payloads(store: MetricStore, batch_size: int) -> "list[dict]":
     return payloads
 
 
+#: ``json.dumps``'s text for the floats ``float.__repr__`` cannot spell.
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+_EVENT = ('{"start": %%s, "end": %%s, "metric": %s, "subject": %%s, '
+          '"kind": %s, "score": %%s, "detail": ""}')
+_DETECTION = ('{"label": %s, "name": %s, "metric": %s, "events": [%s], '
+              '"flagged_machines": [%s]}')
+_REPLY = '{"tenant": %s, "num_samples": %s, "cached": false, "detections": [%s]}'
+
+
+class _Texts:
+    """Per-reply memo of JSON texts: each distinct string goes through
+    ``json.dumps`` once, and each distinct timestamp grid through
+    ``float.__repr__`` once (a reply's detections share one window)."""
+
+    def __init__(self) -> None:
+        self._strings: "dict[str, str]" = {}
+        self._grids: "dict[bytes, list[str]]" = {}
+
+    def string(self, text: str) -> str:
+        encoded = self._strings.get(text)
+        if encoded is None:
+            encoded = self._strings[text] = json.dumps(text)
+        return encoded
+
+    def grid(self, timestamps: np.ndarray) -> "list[str]":
+        timestamps = np.asarray(timestamps, dtype=np.float64)
+        key = timestamps.tobytes()
+        texts = self._grids.get(key)
+        if texts is None:
+            texts = self._grids[key] = _float_texts(timestamps)
+        return texts
+
+
+def _float_texts(values: np.ndarray) -> "list[str]":
+    """``json.dumps``'s text of each value: ``float.__repr__``, with
+    ``NaN`` / ``Infinity`` / ``-Infinity`` for the non-finite ones."""
+    values = np.asarray(values, dtype=np.float64)
+    texts = list(map(float.__repr__, values.tolist()))
+    for index in np.flatnonzero(~np.isfinite(values)).tolist():
+        texts[index] = _NON_FINITE[texts[index]]
+    return texts
+
+
+def _detection_text(label: str, name: str, metric: str, result,
+                    texts: _Texts) -> str:
+    block = result.block
+    ids = result.machine_ids
+    rows = block.rows.tolist()
+    subjects = {row: texts.string(ids[row]) for row in set(rows)}
+    stamps = texts.grid(block.timestamps)
+    # metric and kind are fixed per detection: bake them into the event
+    # template ('%' doubled), leaving the four per-event fields.
+    template = _EVENT % (texts.string(result.metric).replace("%", "%%"),
+                         texts.string(result.detector).replace("%", "%%"))
+    events = ", ".join(map(template.__mod__, zip(
+        map(stamps.__getitem__, block.starts.tolist()),
+        map(stamps.__getitem__, (block.ends - 1).tolist()),
+        map(subjects.__getitem__, rows),
+        _float_texts(block.run_scores))))
+    flagged = ", ".join(map(texts.string, sorted(result.flagged_machines())))
+    return _DETECTION % (texts.string(label), texts.string(name),
+                         texts.string(metric), events, flagged)
+
+
+def detect_reply(tenant_id: str, num_samples: int,
+                 detections: "Iterable[tuple[str, str, str, object]]",
+                 ) -> bytes:
+    """The ``POST /detect`` body, marked ``"cached": false``.
+
+    ``detections`` yields one ``(label, name, metric, result)`` per plan,
+    ``result`` an :class:`~repro.analysis.engine.EngineResult`.  The bytes
+    equal ``json.dumps(reply).encode()`` of::
+
+        {"tenant": tenant_id, "num_samples": num_samples, "cached": False,
+         "detections": [{"label": label, "name": name, "metric": metric,
+                         "events": [e.to_dict() for e in result.events()],
+                         "flagged_machines": sorted(
+                             result.flagged_machines())}, ...]}
+
+    built from the run arrays (``rows``, ``starts``, ``ends``,
+    ``run_scores``, ``timestamps``) without materialising an event.
+    """
+    texts = _Texts()
+    body = _REPLY % (
+        texts.string(tenant_id), int.__repr__(num_samples),
+        ", ".join(_detection_text(label, name, metric, result, texts)
+                  for label, name, metric, result in detections))
+    return body.encode("ascii")
+
+
+def mark_cached(body: bytes) -> bytes:
+    """A :func:`detect_reply` body with its flag set to ``"cached": true``.
+
+    The flag is the first ``"cached": false`` in the body: only the tenant
+    id's JSON string precedes it, and an encoded string cannot hold that
+    text (its quotes are escaped)."""
+    return body.replace(b'"cached": false', b'"cached": true', 1)
+
+
 __all__ = [
     "block_to_payload",
+    "detect_reply",
+    "mark_cached",
     "payload_to_block",
     "store_to_payloads",
 ]

@@ -414,6 +414,14 @@ class TestEndpoints:
             client.alerts("views", view="bogus")
         client.delete_tenant("views")
 
+    def test_unknown_view_answers_before_the_long_poll(self, client):
+        client.create_tenant({"id": "badview", "machines": MACHINES})
+        started = time.perf_counter()
+        with pytest.raises(ServeError, match="unknown alert view"):
+            client.alerts("badview", view="bogus", wait=2.0)
+        assert time.perf_counter() - started < 1.0   # not after the wait
+        client.delete_tenant("badview")
+
     def test_concurrent_tenants_do_not_interleave_state(self, server):
         """Interleaved ingest across threads: per-tenant totals stay exact."""
         ids = [f"iso-{i}" for i in range(4)]
@@ -443,6 +451,62 @@ class TestEndpoints:
             for tenant_id in ids:
                 assert admin.summary(tenant_id)["num_samples"] == 30
                 admin.delete_tenant(tenant_id)
+
+
+def request_raw(server, method: str, path: str,
+                body: dict | None = None) -> "tuple[int, dict]":
+    conn = http.client.HTTPConnection(server.host, server.port, timeout=30)
+    try:
+        conn.request(method, path,
+                     body=None if body is None else json.dumps(body).encode(),
+                     headers={"Content-Type": "application/json"})
+        response = conn.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        conn.close()
+
+
+BAD_STACKS = [
+    ({"detectors": [1]}, "detectors"),
+    ({"detectors": ["ewma", None]}, "detectors"),
+    ({"detectors": {"a": 1}}, "detectors"),
+    ({"metrics": 5}, "metrics"),
+    ({"metrics": None}, "metrics"),
+    ({"metrics": []}, "metrics"),
+    ({"metrics": ["cpu", 7]}, "metrics"),
+]
+
+
+class TestStackValidation:
+    """Tenant creation and ``/detect`` check ``detectors`` and ``metrics``
+    alike: a bad value is a 400 naming its key, before anything is
+    created, journaled, cached or swept."""
+
+    @pytest.mark.parametrize("raw,key", BAD_STACKS)
+    def test_tenant_creation(self, tmp_path, raw, key):
+        with DetectionServer(port=0, state_dir=tmp_path / "state") as srv:
+            status, body = request_raw(srv, "POST", "/tenants",
+                                       {"id": "bad", "machines": MACHINES,
+                                        **raw})
+            assert len(srv.registry) == 0
+            assert not srv.registry.state.tenant_root("bad").exists()
+        assert status == 400
+        assert f"'{key}'" in body["error"]
+
+    @pytest.mark.parametrize("raw,key", BAD_STACKS)
+    def test_detect(self, raw, key):
+        with DetectionServer(port=0) as srv, \
+                ServeClient(srv.host, srv.port) as client:
+            client.create_tenant({"id": "t1", "machines": MACHINES})
+            client.ingest_frames("t1", *make_frames(12))
+            sweeps = []
+            srv.executor.run_many = lambda *a, **k: sweeps.append(a)
+            status, body = request_raw(srv, "POST", "/tenants/t1/detect", raw)
+            assert sweeps == []
+            assert len(srv.detect_cache) == 0
+            assert srv.detect_cache.hits + srv.detect_cache.misses == 0
+        assert status == 400
+        assert f"'{key}'" in body["error"]
 
 
 class TestServerLifecycle:
